@@ -8,11 +8,17 @@ are tracked, so adding new benchmarks never breaks the gate; a tracked
 kernel that disappears from the current report fails it (a silently dropped
 benchmark is itself a regression).
 
-Named counters recorded in the baseline (e.g. the allocs_per_op counter of
-the steady-state DES/RunContext benches) are gated too: a counter fails when
-it exceeds baseline * threshold + 0.01 (the absolute slack lets a zero
-baseline tolerate measurement jitter but not a real allocation sneaking back
-into the hot path).
+Named counters recorded in the baseline are gated too, in one of two ways:
+
+* Simulation counters (every name ending in "_mean": depth, fidelity,
+  reroutes, outage_downtime, ...) are deterministic functions of the seeds,
+  so they must reproduce the baseline exactly. Any change, up or down, fails:
+  a lower depth is as much a behaviour change as a higher one.
+* Every other counter (the allocs_per_op counter of the steady-state
+  DES/RunContext benches) fails only when it exceeds
+  baseline * threshold + 0.01 (the absolute slack lets a zero baseline
+  tolerate measurement jitter but not a real allocation sneaking back into
+  the hot path).
 
 Usage:
     check_bench_regression.py CURRENT.json [MORE.json ...] BASELINE.json
@@ -58,6 +64,11 @@ def as_number(value):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     return None
+
+
+def is_exact_counter(name):
+    """Deterministic simulation counters are pinned exactly, both ways."""
+    return name.endswith("_mean")
 
 
 def main():
@@ -149,6 +160,14 @@ def main():
                     f"{name}: counter {counter} missing or null in current report"
                 )
                 verdict = "COUNTER MISSING"
+                continue
+            if is_exact_counter(counter):
+                if cur_val != base_val:
+                    failures.append(
+                        f"{name}: counter {counter} {base_val!r} -> {cur_val!r}"
+                        " (must match exactly)"
+                    )
+                    verdict = f"COUNTER CHANGED ({counter})"
                 continue
             limit = base_val * threshold + 0.01
             if cur_val > limit:
