@@ -34,20 +34,31 @@ std::string clean_line(std::string line) {
   return line.substr(begin, end - begin + 1);
 }
 
-/// Parse "q[3]" -> 3 for register name "q".
+/// Parse "q[3]" -> 3 for register name "q" of `num_qubits` qubits. The
+/// index must be a plain decimal inside the register.
 QubitId parse_operand(const std::string& token, const std::string& qreg,
-                      int line) {
+                      int num_qubits, int line) {
   const std::string prefix = qreg + "[";
   if (token.rfind(prefix, 0) != 0 || token.back() != ']') {
     parse_error(line, "bad operand '" + token + "'");
   }
+  const std::string index =
+      token.substr(prefix.size(), token.size() - prefix.size() - 1);
+  long q = -1;
+  std::size_t used = 0;
   try {
-    return static_cast<QubitId>(
-        std::stol(token.substr(prefix.size(),
-                               token.size() - prefix.size() - 1)));
+    q = std::stol(index, &used);
   } catch (const std::exception&) {
     parse_error(line, "bad qubit index in '" + token + "'");
   }
+  if (used != index.size()) {
+    parse_error(line, "bad qubit index in '" + token + "'");
+  }
+  if (q < 0 || q >= num_qubits) {
+    parse_error(line, "qubit index in '" + token + "' outside register " +
+                          qreg + "[" + std::to_string(num_qubits) + "]");
+  }
+  return static_cast<QubitId>(q);
 }
 
 /// Evaluate the angle expressions emitted by to_qasm and common Qiskit
@@ -188,6 +199,7 @@ Circuit read_qasm(std::istream& is) {
         } catch (const std::exception&) {
           parse_error(line_no, "bad qreg size");
         }
+        if (num_qubits < 0) parse_error(line_no, "bad qreg size");
         qc = Circuit(num_qubits, name);
         have_qreg = true;
         continue;
@@ -197,8 +209,9 @@ Circuit read_qasm(std::istream& is) {
       if (stmt.rfind("measure", 0) == 0) {
         const auto arrow = stmt.find("->");
         if (arrow == std::string::npos) parse_error(line_no, "bad measure");
-        const QubitId q = parse_operand(
-            clean_line(stmt.substr(7, arrow - 7)), qreg_name, line_no);
+        const QubitId q =
+            parse_operand(clean_line(stmt.substr(7, arrow - 7)), qreg_name,
+                          num_qubits, line_no);
         qc.measure(q);
         continue;
       }
@@ -217,7 +230,12 @@ Circuit read_qasm(std::istream& is) {
       if (pos < stmt.size() && stmt[pos] == '(') {
         const auto close = stmt.find(')', pos);
         if (close == std::string::npos) parse_error(line_no, "missing ')'");
-        angle = parse_angle(stmt.substr(pos + 1, close - pos - 1), line_no);
+        const std::string expr = stmt.substr(pos + 1, close - pos - 1);
+        angle = parse_angle(expr, line_no);
+        // "nan", "inf" and "pi/0" parse as numbers but name no rotation.
+        if (!std::isfinite(angle)) {
+          parse_error(line_no, "angle '" + expr + "' is not finite");
+        }
         pos = close + 1;
       } else if (has_param(*kind)) {
         parse_error(line_no, "gate '" + gate + "' needs an angle");
@@ -230,10 +248,14 @@ Circuit read_qasm(std::istream& is) {
       while (std::getline(rest, token, ',')) {
         token = clean_line(token);
         if (token.empty()) continue;
-        operands.push_back(parse_operand(token, qreg_name, line_no));
+        operands.push_back(
+            parse_operand(token, qreg_name, num_qubits, line_no));
       }
       if (static_cast<int>(operands.size()) != gate_arity(*kind)) {
         parse_error(line_no, "wrong operand count for '" + gate + "'");
+      }
+      if (operands.size() == 2 && operands[0] == operands[1]) {
+        parse_error(line_no, "duplicate operand for '" + gate + "'");
       }
       if (operands.size() == 1) {
         qc.append(make_gate(*kind, operands[0], angle));

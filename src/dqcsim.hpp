@@ -53,7 +53,6 @@
 #include "qsim/channels.hpp"
 #include "qsim/density_matrix.hpp"
 #include "qsim/gates_matrices.hpp"
-#include "qsim/statevector.hpp"
 
 #include "noise/fidelity_ledger.hpp"
 #include "noise/purification.hpp"

@@ -16,11 +16,6 @@ GenerationService::GenerationService(des::Simulator& sim,
       buffer_(params.buffer_capacity, params.f0, params.kappa,
               params.cutoff) {
   params_.validate();
-  active_pairs_ = params_.num_comm_pairs;
-  pair_alive_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  if (params_.retry.kind != RetryKind::EveryWindow) {
-    consecutive_failures_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  }
 }
 
 void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
@@ -44,13 +39,6 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   successes_ = 0;
   wasted_buffer_full_ = 0;
   wasted_unconsumed_ = 0;
-  active_pairs_ = params_.num_comm_pairs;
-  pair_alive_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  if (params_.retry.kind != RetryKind::EveryWindow) {
-    consecutive_failures_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  } else {
-    consecutive_failures_.clear();
-  }
   last_success_ = 0.0;
   max_delivery_gap_ = 0.0;
 }
@@ -77,45 +65,10 @@ void GenerationService::start() {
   // buffered designs distinct from init_buf's pre-filled buffer.
   last_success_ = sim_.now();
   for (int p = 0; p < params_.num_comm_pairs; ++p) {
-    pair_alive_[static_cast<std::size_t>(p)] = 1;
     const double offset = offset_of(p);
     const double first = (offset > 0.0) ? offset : params_.cycle_time;
     schedule_completion(p, sim_.now() + first);
   }
-}
-
-std::size_t GenerationService::set_capacity_share(int num_comm_pairs,
-                                                  int buffer_capacity) {
-  DQCSIM_EXPECTS(num_comm_pairs >= 1);
-  DQCSIM_EXPECTS(buffer_capacity >= 0);
-  const des::SimTime now = sim_.now();
-  const int old_active = active_pairs_;
-  active_pairs_ = num_comm_pairs;
-  params_.num_comm_pairs = num_comm_pairs;
-  if (pair_alive_.size() < static_cast<std::size_t>(num_comm_pairs)) {
-    pair_alive_.resize(static_cast<std::size_t>(num_comm_pairs), 0);
-  }
-  if (params_.retry.kind != RetryKind::EveryWindow &&
-      consecutive_failures_.size() <
-          static_cast<std::size_t>(num_comm_pairs)) {
-    consecutive_failures_.resize(static_cast<std::size_t>(num_comm_pairs),
-                                 0);
-  }
-  // Shrinking needs no action here: deactivated chains complete their
-  // in-flight window (the old-share epoch) and stop at the reschedule
-  // check in on_window_complete. Growing restarts only chains that have
-  // actually died — a still-alive chain keeps its phase.
-  if (started_ && running_) {
-    for (int p = old_active; p < active_pairs_; ++p) {
-      auto& alive = pair_alive_[static_cast<std::size_t>(p)];
-      if (alive) continue;
-      alive = 1;
-      const double offset = offset_of(p);
-      const double first = (offset > 0.0) ? offset : params_.cycle_time;
-      schedule_completion(p, now + first);
-    }
-  }
-  return buffer_.resize_capacity(buffer_capacity, now);
 }
 
 void GenerationService::pre_fill_buffer() {
@@ -156,12 +109,6 @@ void GenerationService::on_window_complete(int pair_index) {
     up = eff.up;
   }
 
-  // The delay to this pair's next completion: one attempt window by
-  // default; a non-default RetryPolicy stretches it after failures. When
-  // the link is down the chain keeps probing on the plain cycle grid so
-  // generation resumes in phase on recovery (recovery is an exogenous
-  // repair, not a failed attempt — backoff does not apply).
-  double delay = params_.cycle_time;
   if (up) {
     ++attempts_;
     const bool success = rng_.bernoulli(p_succ);
@@ -172,9 +119,6 @@ void GenerationService::on_window_complete(int pair_index) {
     if (success) {
       ++successes_;
       record_success(now);
-      if (params_.retry.kind != RetryKind::EveryWindow) {
-        consecutive_failures_[static_cast<std::size_t>(pair_index)] = 0;
-      }
       if (mode_ == ServiceMode::Buffered) {
         // SWAP into the buffer; availability is delayed by the SWAP latency.
         sim_.schedule_in(params_.swap_latency,
@@ -197,46 +141,9 @@ void GenerationService::on_window_complete(int pair_index) {
         const bool consumed = handler_ ? handler_(now) : false;
         if (!consumed) ++wasted_unconsumed_;
       }
-    } else if (params_.retry.kind != RetryKind::EveryWindow) {
-      delay = retry_delay(
-          ++consecutive_failures_[static_cast<std::size_t>(pair_index)]);
     }
   }
-
-  // Reschedule unless a boundary re-share deactivated this pair — its
-  // in-flight window just completed under the old share (the epoch
-  // guard), and the chain ends here until a grow revives it.
-  if (pair_index < active_pairs_) {
-    schedule_completion(pair_index, now + delay);
-  } else {
-    pair_alive_[static_cast<std::size_t>(pair_index)] = 0;
-  }
-}
-
-// DQCSIM_HOT
-double GenerationService::retry_delay(int consecutive_failures) {
-  const RetryPolicy& r = params_.retry;
-  double d;
-  if (r.attempt_cutoff > 0 && consecutive_failures >= r.attempt_cutoff) {
-    // Past the cutoff the pair only probes at the ceiling interval.
-    d = r.max_interval;
-  } else if (r.kind == RetryKind::Fixed) {
-    d = r.interval;
-  } else {
-    // interval * growth^(n-1), capped — iterated multiply, not std::pow,
-    // so the value is bit-identical across libm implementations.
-    d = r.interval;
-    for (int i = 1; i < consecutive_failures && d < r.max_interval; ++i) {
-      d *= r.growth;
-    }
-    d = std::min(d, r.max_interval);
-  }
-  // A pair cannot re-attempt faster than its attempt window.
-  d = std::max(d, params_.cycle_time);
-  // Deterministic seeded jitter: one uniform draw per delayed retry, part
-  // of the service's replay stream.
-  if (r.jitter > 0.0) d *= 1.0 + r.jitter * rng_.uniform();
-  return d;
+  schedule_completion(pair_index, now + params_.cycle_time);
 }
 
 }  // namespace dqcsim::ent

@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
@@ -86,19 +85,6 @@ class GenerationService {
   /// Precondition: Buffered mode.
   void pre_fill_buffer();
 
-  /// Boundary capacity re-sharing (ArchConfig::reshare_at_boundaries):
-  /// adopt a new comm-pair count and buffer capacity mid-trial without
-  /// clearing the buffer, counters, or handlers. Returns the number of
-  /// buffered pairs discarded when the buffer share shrank below the
-  /// current stock (oldest first; see BufferPool::resize_capacity).
-  ///
-  /// The attempt chains carry the epoch guard: a window already in flight
-  /// completes its attempt under the old share, and only then does its
-  /// chain stop (shrink) — deactivated pairs never lose a started window.
-  /// Growing restarts dead chains on a fresh phase grid from `now`;
-  /// chains still in flight simply keep running.
-  std::size_t set_capacity_share(int num_comm_pairs, int buffer_capacity);
-
   void set_arrival_handler(ArrivalHandler handler) {
     handler_ = std::move(handler);
   }
@@ -144,9 +130,8 @@ class GenerationService {
 
   /// Longest gap between consecutive successful generations so far,
   /// extended to `now` for the open interval since the last success (the
-  /// pre-success interval starts at start()). Feeds the link_stalled
-  /// watchdog: a service whose max gap exceeds N attempt windows made no
-  /// delivery for that long. Always tracked — it costs two compares per
+  /// pre-success interval starts at start()). Feeds the obs registry's
+  /// max_delivery_gap gauge. Always tracked — it costs two compares per
   /// success and never touches the RNG stream.
   double max_delivery_gap(des::SimTime now) const noexcept {
     if (!started_) return 0.0;
@@ -156,9 +141,6 @@ class GenerationService {
  private:
   void schedule_completion(int pair_index, des::SimTime completion);
   void on_window_complete(int pair_index);
-  /// Delay until pair `pair_index`'s next attempt after a failure (>=
-  /// cycle_time; draws jitter from the service RNG when configured).
-  double retry_delay(int consecutive_failures);
   void record_success(des::SimTime at) noexcept {
     max_delivery_gap_ = std::max(max_delivery_gap_, at - last_success_);
     last_success_ = at;
@@ -184,19 +166,7 @@ class GenerationService {
   std::size_t wasted_buffer_full_ = 0;
   std::size_t wasted_unconsumed_ = 0;
 
-  // Boundary re-sharing state. active_pairs_ tracks the live comm-pair
-  // count (== params_.num_comm_pairs unless set_capacity_share moved it);
-  // pair_alive_[p] marks whether pair p's completion chain is still
-  // scheduled, so a grow never double-chains a pair whose final event is
-  // in flight.
-  int active_pairs_ = 0;
-  std::vector<char> pair_alive_;
-
-  // Retry/backoff state: consecutive failed attempts per pair (only
-  // maintained when params_.retry.kind != RetryKind::EveryWindow).
-  std::vector<int> consecutive_failures_;
-
-  // link_stalled watchdog state (see max_delivery_gap).
+  // Success-drought tracking (see max_delivery_gap).
   des::SimTime last_success_ = 0.0;
   double max_delivery_gap_ = 0.0;
 };

@@ -23,6 +23,13 @@ double swap_composed_fidelity(const double* hop_f0, std::size_t count,
   return noise::werner_fidelity_from_weight(w);
 }
 
+int capacity_share(int capacity, int load, int rank) {
+  DQCSIM_EXPECTS(load >= 1 && rank >= 0 && rank < load);
+  if (capacity <= 0) return capacity;
+  const int share = capacity / load + (rank < capacity % load ? 1 : 0);
+  return std::max(1, share);
+}
+
 RoutedLink compose_route(const Route& route,
                          const std::vector<ent::LinkParams>& edge_params,
                          const SwapParams& swap) {

@@ -23,7 +23,7 @@
 /// prone shapes (star hubs, chain bottlenecks). Opting into
 /// ArchConfig::share_edge_capacity splits each contended edge's budget
 /// into deterministic per-route shares (compose_route_shared below, shares
-/// from net::capacity_share), and ArchConfig::swap_as_you_go replaces the
+/// from capacity_share), and ArchConfig::swap_as_you_go replaces the
 /// composed model entirely with one buffered generation service per
 /// physical edge — routes then contend dynamically for a common buffer and
 /// pairs are fused on demand at the intermediate nodes, escaping this
@@ -68,6 +68,17 @@ double swap_bsm_weight(double bsm_fidelity);
 double swap_composed_fidelity(const double* hop_f0, std::size_t count,
                               double bsm_fidelity);
 
+/// Deterministic near-even slice of an edge's capacity granted to the route
+/// with the given rank among the `load` routes crossing it: every route
+/// gets floor(capacity / load), the first capacity % load ranks (by route
+/// creation order) one extra, and any positive capacity grants at least one
+/// unit — a saturated edge oversubscribes rather than starving a route.
+/// A nonpositive capacity (the bufferless designs' zero buffer) passes
+/// through unchanged. Shares depend only on the creation order, so they are
+/// identical at any thread count and on every replay.
+/// Preconditions: load >= 1, 0 <= rank < load.
+int capacity_share(int capacity, int load, int rank);
+
 /// Effective single link backing one routed node pair.
 struct RoutedLink {
   ent::LinkParams params;     ///< end-to-end parameters (see file header)
@@ -88,8 +99,8 @@ RoutedLink compose_route(const Route& route,
 /// hop_comm[k] communication pairs and hop_buffer[k] buffer slots instead
 /// of its full per-edge budget — the share a route receives when an edge's
 /// capacity is split between the concurrent routes crossing it (see
-/// net::capacity_share in congestion.hpp). A null grant array falls back
-/// to the full budgets; compose_route delegates here with both null, so
+/// capacity_share). A null grant array falls back to the full budgets;
+/// compose_route delegates here with both null, so
 /// the two entry points fold every resource in the same order and the
 /// composed f0 stays bit-identical.
 /// Preconditions: as compose_route; non-null arrays cover route.hops().

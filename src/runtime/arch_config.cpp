@@ -34,9 +34,6 @@ void ArchConfig::validate() const {
       lat.remote_gate <= 0.0 || lat.remote_gate_state <= 0.0) {
     throw ConfigError("ArchConfig: latencies out of domain");
   }
-  if (purification_latency < 0.0) {
-    throw ConfigError("ArchConfig: purification latency must be nonnegative");
-  }
   const auto fid_ok = [](double f) { return f > 0.0 && f <= 1.0; };
   if (!fid_ok(fid.one_qubit) || !fid_ok(fid.local_cnot) ||
       !fid_ok(fid.measurement)) {
@@ -45,20 +42,8 @@ void ArchConfig::validate() const {
   if (!(fid.epr_f0 >= 0.25 && fid.epr_f0 <= 1.0)) {
     throw ConfigError("ArchConfig: EPR fidelity must be in [0.25, 1]");
   }
-  if (congestion_alpha < 0.0) {
-    throw ConfigError("ArchConfig: congestion_alpha must be nonnegative");
-  }
-  retry_policy.validate();
-  if (stall_windows < 0) {
-    throw ConfigError("ArchConfig: stall_windows must be nonnegative");
-  }
   if (!(max_trial_sim_time > 0.0)) {
     throw ConfigError("ArchConfig: max_trial_sim_time must be positive");
-  }
-  if (reshare_at_boundaries && !share_edge_capacity) {
-    throw ConfigError(
-        "ArchConfig: reshare_at_boundaries re-computes capacity shares and "
-        "needs share_edge_capacity on");
   }
   if (topology) {
     topology->validate();
@@ -97,7 +82,6 @@ ent::LinkParams common_link_params(const ArchConfig& cfg,
   link.async_subgroups = cfg.async_subgroups;
   link.consume_freshest = cfg.consume_freshest;
   link.record_trace = cfg.record_arrival_trace;
-  link.retry = cfg.retry_policy;
   return link;
 }
 

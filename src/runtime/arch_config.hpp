@@ -52,6 +52,10 @@ struct Fidelities {
   double epr_f0 = 0.99;  ///< freshly generated Bell-pair fidelity
 };
 
+/// Local-operation time of one purification round (CNOT + measurement on
+/// each side, in t_CNOT units); delays a purified remote gate's start.
+inline constexpr double kPurificationLatency = 6.0;
+
 /// Full architecture configuration for a DQC system of `num_nodes` QPUs.
 ///
 /// The paper evaluates 2 nodes; the engine generalizes to all-to-all
@@ -82,9 +86,6 @@ struct ArchConfig {
   /// GateTeleport. Raises per-gate fidelity, halves (at best) the
   /// effective pair rate.
   bool purify_on_consume = false;
-  /// Local-operation time of one purification round (CNOT + measurement on
-  /// each side, in t_CNOT units); delays the purified gate's start.
-  double purification_latency = 6.0;
   /// Execute runs of consecutive one-qubit gates on a wire as a single
   /// scheduling event with summed latency (see fusible_1q_chain_next).
   /// The chain's completion instant, fidelity factors, and every observable
@@ -104,20 +105,19 @@ struct ArchConfig {
   /// _route). Shared ownership keeps ArchConfig copies allocation-free in
   /// the Monte-Carlo trial loop.
   std::shared_ptr<const net::Topology> topology;
-  /// Edge-cost model for route selection when a topology is set: expected
-  /// time per delivered pair by default (cycle / (p_succ * pairs)).
-  bool route_by_hops = false;
   /// Fault & drift scenario applied per trial (see scenario/scenario.hpp).
   /// Null (the default) is the stationary fabric, bit-identical to builds
   /// without the scenario layer. Requires a topology: scenarios target
   /// physical edges (use net::Topology::all_to_all for the legacy shape).
   std::shared_ptr<const scenario::Scenario> scenario;
 
-  // --- Congestion & shared-capacity modes (see net/congestion.hpp and
-  // docs/ARCHITECTURE.md). All default off: the legacy independent-budget
-  // engine is the escape hatch and stays bit-identical until opted in.
-  // Each knob needs a topology; without one they are silent no-ops (the
-  // homogeneous all-to-all interconnect has no shared edges to contend).
+  // --- Shared-capacity modes (see docs/ARCHITECTURE.md). Both default
+  // off: the legacy independent-budget engine is the escape hatch and
+  // stays bit-identical until opted in. Each knob needs a topology;
+  // without one they are silent no-ops (the homogeneous all-to-all
+  // interconnect has no shared edges to contend). Routes are always the
+  // static net::Router paths, re-planned over the surviving edges at
+  // every outage/recovery boundary of a scenario.
 
   /// Share each physical edge's generation budget between the routes
   /// crossing it: every route receives a deterministic near-even slice of
@@ -126,20 +126,6 @@ struct ArchConfig {
   /// the full per-edge budget. Shares are assigned at t=0 and stay frozen
   /// for the trial, matching the frozen structural composition.
   bool share_edge_capacity = false;
-  /// Select routes sequentially (in first-traffic creation order) over
-  /// load-scaled edge costs, cost(e) = static_cost(e) *
-  /// (1 + congestion_alpha * load(e)), so later traffic detours around
-  /// edges earlier traffic saturated. Applied at t=0 placement and again
-  /// at every outage/recovery boundary — detours then contend too.
-  bool congestion_aware_routing = false;
-  /// Load-scaling strength of congestion_aware_routing (>= 0; 0 degrades
-  /// to static costs with deterministic sequential tie-breaks).
-  double congestion_alpha = 1.0;
-  /// With congestion_aware_routing + swap_as_you_go, split a link's
-  /// traffic across two edge-disjoint paths whose scaled costs tie: a
-  /// remote gate is served by whichever path first buffers its full pair
-  /// quota.
-  bool split_tied_routes = true;
   /// Swap-as-you-go delivery on a topology: one generation service per
   /// *physical edge* buffers pairs at intermediate swap nodes, and an
   /// end-to-end pair is fused on demand from one buffered pair per hop —
@@ -168,24 +154,6 @@ struct ArchConfig {
   /// pairs_salvaged / pairs_discarded; arbitration between links follows
   /// the usual creation order.
   bool salvage_pairs = false;
-  /// Recompute per-route capacity shares at every outage/recovery
-  /// boundary over the surviving routes (requires share_edge_capacity;
-  /// without this knob shares stay frozen at t=0 while routes re-plan).
-  /// In-flight attempt windows complete under the old shares — a
-  /// deactivated comm pair finishes its started window before its chain
-  /// stops (see ent::GenerationService::set_capacity_share). Buffer
-  /// overflow from a shrunken share is discarded oldest-first and
-  /// reported as pairs_discarded.
-  bool reshare_at_boundaries = false;
-  /// Retry/timeout/backoff policy applied to every generation service
-  /// (per-link and per-edge); the default retries every window, which is
-  /// the legacy tight loop. See ent::RetryPolicy.
-  ent::RetryPolicy retry_policy;
-  /// link_stalled watchdog: report (in RunResult::links_stalled) how many
-  /// generation services went longer than stall_windows attempt windows
-  /// without a single successful generation at any point in the trial.
-  /// 0 disables the watchdog.
-  int stall_windows = 0;
   /// Trial sim-time budget: a trial whose next event would fire beyond
   /// this instant stops cleanly with RunResult::truncated set and partial
   /// metrics (depth reports the budget horizon). Deterministic — the

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -13,7 +12,6 @@
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
 #include "ent/generation_service.hpp"
-#include "net/congestion.hpp"
 #include "net/router.hpp"
 #include "net/swap.hpp"
 #include "noise/fidelity_ledger.hpp"
@@ -204,7 +202,6 @@ struct RunContext::State {
   /// and routes — so a trial's cache-hit test is one memberwise compare.
   struct RouteInputs {
     DesignKind design = DesignKind::AsyncBuf;
-    bool route_by_hops = false;
     int comm_per_node = 0;
     int buffer_per_node = 0;
     double p_succ = 0.0;
@@ -217,7 +214,6 @@ struct RunContext::State {
     bool consume_freshest = false;
     bool record_trace = true;
     net::SwapParams swap;
-    ent::RetryPolicy retry;
 
     friend bool operator==(const RouteInputs&,
                            const RouteInputs&) = default;
@@ -235,12 +231,10 @@ struct RunContext::State {
   };
   RouteCache route_cache;
 
-  // --- congestion / shared-capacity machinery (opt-in ArchConfig knobs;
-  // see net/congestion.hpp). Trial-scoped: plans are recomputed at t=0 and
-  // at outage boundaries; every container is reused across trials so the
+  // --- shared-capacity / swap-as-you-go machinery (opt-in ArchConfig
+  // knobs). Trial-scoped; every container is reused across trials so the
   // steady-state loop stays allocation-free.
-  net::CongestionPlanner planner;
-  std::vector<net::RoutePlan> link_plans;  ///< parallel to links
+  std::vector<int> edge_load;              ///< t=0 routes crossing each edge
   std::vector<int> edge_rank;              ///< next share rank per edge
   std::vector<int> hop_comm_scratch;       ///< per-hop comm share
   std::vector<int> hop_buf_scratch;        ///< per-hop buffer share
@@ -249,16 +243,11 @@ struct RunContext::State {
   /// (every topology edge generates continuously — unrouted edges waste
   /// their successes into a full buffer, which is what idle hardware does).
   std::vector<std::unique_ptr<ent::GenerationService>> edge_services;
-  /// Links whose current plan crosses each edge, in link creation order:
+  /// Links whose current route crosses each edge, in link creation order:
   /// the deterministic arbitration order for pairs deposited on that edge.
   std::vector<std::vector<int>> links_on_edge;
   bool use_swap_go = false;      ///< this trial runs per-edge services
   bool use_shared_caps = false;  ///< composed links get capacity shares
-  bool use_congestion = false;   ///< routes picked by load-scaled costs
-
-  bool contended() const noexcept {
-    return use_swap_go || use_shared_caps || use_congestion;
-  }
 
   // --- fault-scenario state (config.scenario; see src/scenario/) -----------
   // Outage boundaries are engine-pushed events (scheduled lazily, one at a
@@ -689,7 +678,6 @@ struct RunContext::State {
     for (auto& link : links) link.pending.clear();
     use_swap_go = false;
     use_shared_caps = false;
-    use_congestion = false;
 
     ledger = noise::FidelityLedger{};
     result = RunResult{};
@@ -705,7 +693,6 @@ struct RunContext::State {
   void refresh_routing() {
     RouteInputs inputs;
     inputs.design = design;
-    inputs.route_by_hops = config.route_by_hops;
     inputs.comm_per_node = config.comm_per_node;
     inputs.buffer_per_node = config.buffer_per_node;
     inputs.p_succ = config.p_succ;
@@ -718,7 +705,6 @@ struct RunContext::State {
     inputs.consume_freshest = config.consume_freshest;
     inputs.record_trace = config.record_arrival_trace;
     inputs.swap = config.swap_params();
-    inputs.retry = config.retry_policy;
     if (route_cache.valid && route_cache.topology == config.topology &&
         route_cache.inputs == inputs) {
       if (obs_metrics()) reg.add(regh.route_hits);
@@ -739,12 +725,9 @@ struct RunContext::State {
           config.link_params(design, edge.a, edge.b);
       route_cache.edge_params[e] = p;
       // Expected time per delivered pair: attempt window over the link's
-      // aggregate success rate. Hop-count routing ignores link quality.
+      // aggregate success rate.
       route_cache.edge_costs[e] =
-          config.route_by_hops
-              ? 1.0
-              : p.cycle_time /
-                    (p.p_succ * static_cast<double>(p.num_comm_pairs));
+          p.cycle_time / (p.p_succ * static_cast<double>(p.num_comm_pairs));
     }
     route_cache.router = net::Router(topo, route_cache.edge_costs);
     route_cache.valid = true;
@@ -805,9 +788,11 @@ struct RunContext::State {
     ++result.reroutes;
     if (obs_trace) trace_buf.instant(obs::Ev::Reroute, link_track(link), t);
     if (path_changed) {
-      if (config.salvage_pairs) {
+      if (config.salvage_pairs && !use_swap_go) {
         // The stock kept across the re-plan is re-credited to the new
         // route's budget instead of rotting against the dead path.
+        // (Swap-as-you-go keeps its stock on the per-edge services and
+        // counts salvage when try_serve_pending_swap drains it.)
         result.pairs_salvaged += link.service->buffer().size(t);
       }
       link.route_edges.assign(route.edges.begin(), route.edges.end());
@@ -846,23 +831,19 @@ struct RunContext::State {
     }
     if (!changed) return;
     scen_any_down = any_down;
-    if (any_down && !use_congestion) {
+    if (any_down) {
       scen_router =
           net::Router(*config.topology, route_cache.edge_costs, scen_edge_up);
     }
     bool any_lost = false;
-    if (contended()) {
-      // Re-plan every route over the surviving subgraph — with congestion
-      // routing the detours contend again (load-scaled costs), otherwise
-      // the masked static routes are adopted.
-      plan_all_routes(&scen_edge_up);
-      if (use_swap_go) rebuild_links_on_edge();
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        const bool was_up = links[i].route_up;
-        update_link_from_plan(i, t);
-        if (was_up && !links[i].route_up) any_lost = true;
-      }
-      if (use_swap_go && config.salvage_pairs) {
+    for (auto& link : links) {
+      const bool was_up = link.route_up;
+      update_link_route(link, t);
+      if (was_up && !link.route_up) any_lost = true;
+    }
+    if (use_swap_go) {
+      rebuild_links_on_edge();
+      if (config.salvage_pairs) {
         // A down node loses its stored halves: flush the buffers of its
         // incident edges before anyone salvages through them.
         for (std::size_t e = 0; e < edge_services.size(); ++e) {
@@ -872,27 +853,14 @@ struct RunContext::State {
           }
         }
       }
-      if (use_shared_caps && !use_swap_go &&
-          config.reshare_at_boundaries) {
-        if (obs_trace) trace_buf.instant(obs::Ev::Reshare, 0, t);
-        reshare_capacity();
-      }
-      if (use_swap_go) {
-        // Deposits wasted against full buffers do not re-fire the arrival
-        // handler, so a link re-planned onto already-full edges would
-        // otherwise stall until some other deposit lands: serve everyone
-        // once against the new plans. With salvage_pairs this same pass
-        // is the salvage drain — links whose routes were just severed
-        // consume their pre-outage stock here, in creation order.
-        for (std::size_t i = 0; i < links.size(); ++i) {
-          try_serve_pending_swap(i);
-        }
-      }
-    } else {
-      for (auto& link : links) {
-        const bool was_up = link.route_up;
-        update_link_route(link, t);
-        if (was_up && !link.route_up) any_lost = true;
+      // Deposits wasted against full buffers do not re-fire the arrival
+      // handler, so a link re-routed onto already-full edges would
+      // otherwise stall until some other deposit lands: serve everyone
+      // once against the new routes. With salvage_pairs this same pass
+      // is the salvage drain — links whose routes were just severed
+      // consume their pre-outage stock here, in creation order.
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        try_serve_pending_swap(i);
       }
     }
     if (any_lost) ++result.outage_events;
@@ -912,98 +880,80 @@ struct RunContext::State {
     });
   }
 
-  // --- congestion-aware planning & swap-as-you-go (opt-in modes) ------------
+  // --- link setup: composed links and swap-as-you-go (opt-in) --------------
 
-  /// (Re)assign every logical link's physical path, in link creation order.
-  /// With congestion-aware routing each link is routed over load-scaled
-  /// costs (earlier traffic raises the cost later traffic sees); otherwise
-  /// the static all-pairs route is adopted and only the load accounting
-  /// runs (capacity shares are load-derived even under static routes).
-  /// `mask` selects the surviving subgraph during an outage; null is the
-  /// full fabric at t=0.
-  void plan_all_routes(const std::vector<char>* mask) {
-    planner.begin(*config.topology, route_cache.edge_costs,
-                  config.congestion_alpha, mask);
-    link_plans.resize(links.size());
-    const bool split = use_swap_go && config.split_tied_routes;
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      net::RoutePlan& plan = link_plans[i];
-      if (use_congestion) {
-        planner.plan(links[i].node_a, links[i].node_b, split, plan);
-        continue;
+  /// Contention figures of the t=0 placement: how many logical links'
+  /// static routes cross each physical edge. Feeds the capacity shares and
+  /// the RunResult contention accounting.
+  void count_edge_loads() {
+    edge_load.assign(config.topology->num_edges(), 0);
+    for (const auto& link : links) {
+      for (const std::size_t e :
+           route_cache.router.route(link.node_a, link.node_b).edges) {
+        ++edge_load[e];
       }
-      const net::Router& router =
-          (mask != nullptr && scen_any_down) ? scen_router
-                                             : route_cache.router;
-      plan.split = false;
-      plan.has_route = router.has_route(links[i].node_a, links[i].node_b);
-      if (!plan.has_route) continue;
-      const net::Route& r = router.route(links[i].node_a, links[i].node_b);
-      plan.primary.cost = r.cost;
-      plan.primary.nodes.assign(r.nodes.begin(), r.nodes.end());
-      plan.primary.edges.assign(r.edges.begin(), r.edges.end());
-      planner.charge(plan.primary);
     }
-  }
-
-  /// Contention figures of the t=0 placement (RunResult accounting).
-  void record_plan_metrics() {
-    for (const int load : planner.edge_load()) {
+    for (const int load : edge_load) {
       if (load > 1) ++result.edges_shared;
       result.max_edge_load =
           std::max(result.max_edge_load, static_cast<std::size_t>(load));
     }
-    for (const net::RoutePlan& plan : link_plans) {
-      if (plan.split) ++result.route_splits;
-    }
   }
 
-  /// Composed-link setup for the contended modes: routes come from the
-  /// plan (congestion-selected or static) and, with share_edge_capacity,
-  /// each hop contributes only this link's capacity share. Shares are
-  /// assigned by creation rank on each edge — deterministic and frozen at
-  /// t=0 like the rest of the structural composition.
-  void setup_composed_links(ent::ServiceMode mode) {
-    edge_rank.assign(config.topology->num_edges(), 0);
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      LinkState& link = links[i];
+  /// One generation service per logical link: the homogeneous all-to-all
+  /// parameters without a topology, else the end-to-end composition of the
+  /// link's static route. With share_edge_capacity each hop contributes
+  /// only this link's capacity share, assigned by creation rank on each
+  /// edge — deterministic and frozen at t=0 like the rest of the
+  /// structural composition.
+  void setup_composed_links(ent::ServiceMode mode,
+                            const ent::LinkParams& flat_params) {
+    const bool routed = config.topology != nullptr;
+    if (use_shared_caps) edge_rank.assign(config.topology->num_edges(), 0);
+    for (auto& link : links) {
       LinkState* link_ptr = &link;
-      const net::Route& route = link_plans[i].primary;
-      const std::size_t hops = route.edges.size();
-      hop_comm_scratch.resize(hops);
-      hop_buf_scratch.resize(hops);
-      for (std::size_t k = 0; k < hops; ++k) {
-        const std::size_t e = route.edges[k];
-        const ent::LinkParams& ep = route_cache.edge_params[e];
+      if (routed) {
+        const net::Route& route =
+            route_cache.router.route(link.node_a, link.node_b);
+        const int* hop_comm = nullptr;
+        const int* hop_buf = nullptr;
         if (use_shared_caps) {
-          const int load = planner.edge_load()[e];
-          const int rank = edge_rank[e]++;
-          hop_comm_scratch[k] =
-              net::capacity_share(ep.num_comm_pairs, load, rank);
-          hop_buf_scratch[k] =
-              net::capacity_share(ep.buffer_capacity, load, rank);
-        } else {
-          hop_comm_scratch[k] = ep.num_comm_pairs;
-          hop_buf_scratch[k] = ep.buffer_capacity;
+          hop_comm_scratch.resize(route.edges.size());
+          hop_buf_scratch.resize(route.edges.size());
+          for (std::size_t k = 0; k < route.edges.size(); ++k) {
+            const std::size_t e = route.edges[k];
+            const ent::LinkParams& ep = route_cache.edge_params[e];
+            const int rank = edge_rank[e]++;
+            hop_comm_scratch[k] =
+                net::capacity_share(ep.num_comm_pairs, edge_load[e], rank);
+            hop_buf_scratch[k] =
+                net::capacity_share(ep.buffer_capacity, edge_load[e], rank);
+          }
+          hop_comm = hop_comm_scratch.data();
+          hop_buf = hop_buf_scratch.data();
         }
+        const net::RoutedLink rl = net::compose_route_shared(
+            route, route_cache.edge_params, route_cache.inputs.swap,
+            hop_comm, hop_buf);
+        link.service->reset(rl.params, mode);
+        link.hops = rl.hops;
+        link.extra_latency = rl.extra_latency;
+        if (scen_active) {
+          link.route_edges.assign(route.edges.begin(), route.edges.end());
+          link.route_up = true;
+          link.down_since = 0.0;
+          link.service->set_effective_provider(
+              [this, link_ptr](des::SimTime t) {
+                return link_effective(*link_ptr, t);
+              });
+        }
+      } else {
+        link.service->reset(flat_params, mode);
+        link.hops = 1;
+        link.extra_latency = 0.0;
       }
-      const net::RoutedLink rl = net::compose_route_shared(
-          route, route_cache.edge_params, route_cache.inputs.swap,
-          hop_comm_scratch.data(), hop_buf_scratch.data());
-      link.service->reset(rl.params, mode);
       if (obs_trace) {
         link.service->set_trial_trace(&trace_buf, link_track(link));
-      }
-      link.hops = rl.hops;
-      link.extra_latency = rl.extra_latency;
-      if (scen_active) {
-        link.route_edges.assign(route.edges.begin(), route.edges.end());
-        link.route_up = true;
-        link.down_since = 0.0;
-        link.service->set_effective_provider(
-            [this, link_ptr](des::SimTime t) {
-              return link_effective(*link_ptr, t);
-            });
       }
       if (mode == ent::ServiceMode::Buffered) {
         link.service->set_arrival_handler([this, link_ptr](des::SimTime) {
@@ -1022,27 +972,22 @@ struct RunContext::State {
   }
 
   /// Deterministic arbitration index: which links a deposit on each edge
-  /// may serve, in link creation order. Rebuilt whenever plans change.
+  /// may serve, in link creation order. Rebuilt whenever routes change.
   void rebuild_links_on_edge() {
     links_on_edge.resize(config.topology->num_edges());
     for (auto& v : links_on_edge) v.clear();
     for (std::size_t i = 0; i < links.size(); ++i) {
-      const net::RoutePlan& plan = link_plans[i];
-      if (!plan.has_route) continue;
-      for (const std::size_t e : plan.primary.edges) {
+      if (!links[i].route_up) continue;
+      for (const std::size_t e : links[i].route_edges) {
         links_on_edge[e].push_back(static_cast<int>(i));
-      }
-      if (plan.split) {
-        for (const std::size_t e : plan.alternate.edges) {
-          links_on_edge[e].push_back(static_cast<int>(i));
-        }
       }
     }
   }
 
-  /// Swap-as-you-go setup: per-link route state from the plan, then one
-  /// buffered generation service per physical edge with the edge's full
-  /// budget (sharing is dynamic — routes drain a common buffer).
+  /// Swap-as-you-go setup: per-link route state from the static routes,
+  /// then one buffered generation service per physical edge with the
+  /// edge's full budget (sharing is dynamic — routes drain a common
+  /// buffer).
   void setup_edge_services() {
     const std::size_t num_edges = config.topology->num_edges();
     if (edge_services.size() != num_edges) {
@@ -1053,15 +998,14 @@ struct RunContext::State {
             sim, ent::LinkParams{}, rng, ent::ServiceMode::Buffered));
       }
     }
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      LinkState& link = links[i];
-      const net::RoutePlan& plan = link_plans[i];
-      link.hops = plan.has_route ? plan.primary.hops() : 1;
+    for (auto& link : links) {
+      const net::Route& route =
+          route_cache.router.route(link.node_a, link.node_b);
+      link.hops = route.hops();
       link.extra_latency = static_cast<double>(link.hops - 1) *
                            route_cache.inputs.swap.latency;
-      link.route_edges.assign(plan.primary.edges.begin(),
-                              plan.primary.edges.end());
-      link.route_up = plan.has_route;
+      link.route_edges.assign(route.edges.begin(), route.edges.end());
+      link.route_up = true;
       link.down_since = 0.0;
     }
     rebuild_links_on_edge();
@@ -1093,74 +1037,6 @@ struct RunContext::State {
     }
   }
 
-  /// Contended-mode counterpart of update_link_route: adopt link i's
-  /// freshly planned path at boundary time `t` with the same reroute /
-  /// downtime accounting semantics.
-  void update_link_from_plan(std::size_t i, double t) {
-    LinkState& link = links[i];
-    const net::RoutePlan& plan = link_plans[i];
-    if (!plan.has_route) {
-      if (link.route_up) {
-        link.route_up = false;
-        link.down_since = t;
-      }
-      return;
-    }
-    const net::Route& route = plan.primary;
-    const bool path_changed =
-        link.route_edges.size() != route.edges.size() ||
-        !std::equal(route.edges.begin(), route.edges.end(),
-                    link.route_edges.begin());
-    if (link.route_up && !path_changed) return;
-    if (!link.route_up) {
-      result.outage_downtime += t - link.down_since;
-      obs_outage_over(link_track(link), link.down_since, t);
-      link.route_up = true;
-    }
-    ++result.reroutes;
-    if (obs_trace) trace_buf.instant(obs::Ev::Reroute, link_track(link), t);
-    if (path_changed) {
-      if (config.salvage_pairs && !use_swap_go) {
-        // The stock kept across the re-plan is re-credited to the new
-        // route's budget instead of rotting against the dead path.
-        result.pairs_salvaged += link.service->buffer().size(t);
-      }
-      link.route_edges.assign(route.edges.begin(), route.edges.end());
-      link.hops = route.hops();
-      link.extra_latency = static_cast<double>(link.hops - 1) *
-                           route_cache.inputs.swap.latency;
-    }
-  }
-
-  /// Recompute every surviving composed link's capacity share from the
-  /// freshly planned loads (reshare_at_boundaries): the bottleneck fold of
-  /// compose_route_shared, re-run over the post-boundary edge loads. Ranks
-  /// are assigned in link creation order, the same deterministic rule as
-  /// the t=0 assignment; links without a route keep their old share (their
-  /// effective provider already blocks attempts). In-flight windows finish
-  /// under the old share inside set_capacity_share's epoch guard; buffer
-  /// overflow from a shrunken share is discarded oldest-first.
-  void reshare_capacity() {
-    edge_rank.assign(config.topology->num_edges(), 0);
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      LinkState& link = links[i];
-      const net::RoutePlan& plan = link_plans[i];
-      if (!plan.has_route) continue;
-      int comm = std::numeric_limits<int>::max();
-      int buf = std::numeric_limits<int>::max();
-      for (const std::size_t e : plan.primary.edges) {
-        const ent::LinkParams& ep = route_cache.edge_params[e];
-        const int load = planner.edge_load()[e];
-        const int rank = edge_rank[e]++;
-        comm = std::min(comm, net::capacity_share(ep.num_comm_pairs, load,
-                                                  rank));
-        buf = std::min(buf,
-                       net::capacity_share(ep.buffer_capacity, load, rank));
-      }
-      result.pairs_discarded += link.service->set_capacity_share(comm, buf);
-    }
-  }
-
   /// True when every edge buffer along `edges` holds the full pair quota.
   bool edges_ready(const std::vector<std::size_t>& edges,
                    std::size_t needed) {
@@ -1184,12 +1060,11 @@ struct RunContext::State {
   }
 
   /// Swap-as-you-go service of one link's queued remote gates: assemble an
-  /// end-to-end pair by popping one buffered pair per hop and fusing them
-  /// at the intermediate nodes *now*. Each hop pair decays from its own
-  /// deposit instant; the fused pair is born at the assembly instant, so
-  /// it reaches the consuming gate fresh. With a split plan a request is
-  /// served by the primary path when ready, else by the cost-tied
-  /// alternate; with neither ready it waits for the next deposit.
+  /// end-to-end pair by popping one buffered pair per hop of the link's
+  /// route and fusing them at the intermediate nodes *now*. Each hop pair
+  /// decays from its own deposit instant; the fused pair is born at the
+  /// assembly instant, so it reaches the consuming gate fresh. Without a
+  /// full quota on every hop the request waits for the next deposit.
   ///
   /// Mid-flight pair salvage (config.salvage_pairs): a link whose whole
   /// route was severed may still drain hop pairs buffered *before* the
@@ -1199,8 +1074,7 @@ struct RunContext::State {
   /// apply_scen_boundary), the same arbitration rule deposits follow.
   void try_serve_pending_swap(std::size_t link_index) {
     LinkState& link = links[link_index];
-    const net::RoutePlan& plan = link_plans[link_index];
-    const bool salvaging = !plan.has_route;
+    const bool salvaging = !link.route_up;
     if (salvaging && !(config.salvage_pairs && scen_active &&
                        !link.route_edges.empty() &&
                        salvage_nodes_up(link.route_edges, sim.now()))) {
@@ -1211,24 +1085,13 @@ struct RunContext::State {
                            : ent::ConsumeOrder::OldestFirst;
     const auto needed =
         static_cast<std::size_t>(config.pairs_per_remote_gate());
-    while (!link.pending.empty()) {
-      const std::vector<std::size_t>* path_edges = nullptr;
-      if (salvaging) {
-        if (!edges_ready(link.route_edges, needed)) break;
-        path_edges = &link.route_edges;
-      } else if (edges_ready(plan.primary.edges, needed)) {
-        path_edges = &plan.primary.edges;
-      } else if (plan.split && edges_ready(plan.alternate.edges, needed)) {
-        path_edges = &plan.alternate.edges;
-      } else {
-        break;
-      }
-      const std::size_t path_hops = path_edges->size();
+    const std::size_t path_hops = link.route_edges.size();
+    while (!link.pending.empty() && edges_ready(link.route_edges, needed)) {
       PendingRemote& req = link.pending.front();
       req.num_births = 0;
       for (std::size_t i = 0; i < needed; ++i) {
         hop_fid_scratch.clear();
-        for (const std::size_t e : *path_edges) {
+        for (const std::size_t e : link.route_edges) {
           auto pair = edge_services[e]->buffer().pop(sim.now(), order);
           DQCSIM_ENSURES(pair.has_value());
           const double age = sim.now() - pair->deposited;
@@ -1269,7 +1132,7 @@ struct RunContext::State {
       const double extra_delay =
           static_cast<double>(path_hops - 1) *
               route_cache.inputs.swap.latency +
-          (config.purify_on_consume ? config.purification_latency : 0.0);
+          (config.purify_on_consume ? kPurificationLatency : 0.0);
       obs_remote_served(
           link, req.ready_at, static_cast<double>(path_hops),
           extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
@@ -1308,17 +1171,16 @@ struct RunContext::State {
 
   /// Buffered pairs currently available across every link (the adaptive
   /// controller's occupancy signal e). In swap-as-you-go mode a link's
-  /// availability is the bottleneck hop's buffered count along its primary
-  /// path — optimistic when routes overlap (each counts the shared buffer
-  /// in full), but a deterministic, cheap occupancy signal.
+  /// availability is the bottleneck hop's buffered count along its route —
+  /// optimistic when routes overlap (each counts the shared buffer in
+  /// full), but a deterministic, cheap occupancy signal.
   std::size_t total_buffered_pairs() {
     std::size_t total = 0;
     if (use_swap_go) {
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        const net::RoutePlan& plan = link_plans[i];
-        if (!plan.has_route) continue;
+      for (const auto& link : links) {
+        if (!link.route_up) continue;
         std::size_t avail = ~std::size_t{0};
-        for (const std::size_t e : plan.primary.edges) {
+        for (const std::size_t e : link.route_edges) {
           avail = std::min(avail, edge_services[e]->buffer().size(sim.now()));
         }
         total += avail;
@@ -1632,7 +1494,7 @@ struct RunContext::State {
       route_hops_acc.add(static_cast<double>(link.hops));
       const double extra_delay =
           link.extra_latency +
-          (config.purify_on_consume ? config.purification_latency : 0.0);
+          (config.purify_on_consume ? kPurificationLatency : 0.0);
       obs_remote_served(
           link, req.ready_at, static_cast<double>(link.hops),
           extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
@@ -1669,7 +1531,7 @@ struct RunContext::State {
     route_hops_acc.add(static_cast<double>(link.hops));
     const double extra_delay =
         link.extra_latency +
-        (config.purify_on_consume ? config.purification_latency : 0.0);
+        (config.purify_on_consume ? kPurificationLatency : 0.0);
     obs_remote_served(
         link, req.ready_at, static_cast<double>(link.hops),
         extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
@@ -1699,68 +1561,17 @@ struct RunContext::State {
       // silently falling back to the composed model.
       use_swap_go = routed && config.swap_as_you_go;
       use_shared_caps = routed && config.share_edge_capacity;
-      use_congestion = routed && config.congestion_aware_routing;
       ent::LinkParams flat_params;
       if (routed) {
         refresh_routing();
       } else {
         flat_params = config.link_params(design);
       }
-      if (contended()) {
-        plan_all_routes(nullptr);
-        record_plan_metrics();
-        if (use_swap_go) {
-          setup_edge_services();
-        } else {
-          setup_composed_links(mode);
-        }
+      if (use_swap_go || use_shared_caps) count_edge_loads();
+      if (use_swap_go) {
+        setup_edge_services();
       } else {
-        for (auto& link : links) {
-          LinkState* link_ptr = &link;
-          if (routed) {
-            const net::Route& route =
-                route_cache.router.route(link.node_a, link.node_b);
-            const net::RoutedLink rl = net::compose_route(
-                route, route_cache.edge_params, route_cache.inputs.swap);
-            link.service->reset(rl.params, mode);
-            link.hops = rl.hops;
-            if (obs_trace) {
-              link.service->set_trial_trace(&trace_buf, link_track(link));
-            }
-            link.extra_latency = rl.extra_latency;
-            if (scen_active) {
-              link.route_edges.assign(route.edges.begin(),
-                                      route.edges.end());
-              link.route_up = true;
-              link.down_since = 0.0;
-              link.service->set_effective_provider(
-                  [this, link_ptr](des::SimTime t) {
-                    return link_effective(*link_ptr, t);
-                  });
-            }
-          } else {
-            link.service->reset(flat_params, mode);
-            link.hops = 1;
-            link.extra_latency = 0.0;
-            if (obs_trace) {
-              link.service->set_trial_trace(&trace_buf, link_track(link));
-            }
-          }
-          if (mode == ent::ServiceMode::Buffered) {
-            link.service->set_arrival_handler(
-                [this, link_ptr](des::SimTime) {
-                  try_serve_pending(*link_ptr);
-                  return true;
-                });
-          } else {
-            link.service->set_arrival_handler(
-                [this, link_ptr](des::SimTime now) {
-                  return on_demand_arrival(*link_ptr, now);
-                });
-          }
-          if (design_uses_prefill(design)) link.service->pre_fill_buffer();
-          link.service->start();
-        }
+        setup_composed_links(mode, flat_params);
       }
       // Apply any outage already in force at t = 0, then start the lazy
       // boundary event chain.
@@ -1818,27 +1629,6 @@ struct RunContext::State {
         for (auto& svc : edge_services) svc->stop();
       } else {
         for (auto& link : links) link.service->stop();
-      }
-
-      // link_stalled watchdog: services that at some point went longer than
-      // stall_windows attempt windows without one successful generation.
-      // Pure observation over the always-tracked success-gap maximum — no
-      // RNG draw, no event, so the knob cannot perturb the trial itself.
-      if (config.stall_windows > 0) {
-        const auto stalled = [&](const ent::GenerationService& svc) {
-          return svc.max_delivery_gap(sim.now()) >
-                 static_cast<double>(config.stall_windows) *
-                     svc.params().cycle_time;
-        };
-        if (use_swap_go) {
-          for (const auto& svc : edge_services) {
-            if (stalled(*svc)) ++result.links_stalled;
-          }
-        } else {
-          for (const auto& link : links) {
-            if (stalled(*link.service)) ++result.links_stalled;
-          }
-        }
       }
 
       // Links still routeless when the last gate completes accrue their

@@ -23,12 +23,10 @@ void AggregateResult::add(const RunResult& run) {
   avg_route_hops.add(run.avg_route_hops);
   edges_shared.add(static_cast<double>(run.edges_shared));
   max_edge_load.add(static_cast<double>(run.max_edge_load));
-  route_splits.add(static_cast<double>(run.route_splits));
   reroutes.add(static_cast<double>(run.reroutes));
   outage_downtime.add(run.outage_downtime);
   pairs_salvaged.add(static_cast<double>(run.pairs_salvaged));
   pairs_discarded.add(static_cast<double>(run.pairs_discarded));
-  links_stalled.add(static_cast<double>(run.links_stalled));
   truncated.add(run.truncated ? 1.0 : 0.0);
 }
 

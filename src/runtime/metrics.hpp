@@ -45,16 +45,13 @@ struct RunResult {
   /// consumed pair crossed a direct physical link, 0 with no remote gates.
   double avg_route_hops = 0.0;
 
-  // Contention accounting (opt-in congestion / shared-capacity / swap-as-
-  // you-go modes; see net/congestion.hpp). All zero in the legacy
-  // independent-budget engine.
+  // Contention accounting (opt-in shared-capacity / swap-as-you-go modes;
+  // see ArchConfig). All zero in the legacy independent-budget engine.
   /// Physical edges crossed by more than one logical route at t=0.
   std::size_t edges_shared = 0;
   /// Largest number of logical routes crossing any one physical edge at
   /// t=0 (1 on contention-free placements, 0 with no routed links).
   std::size_t max_edge_load = 0;
-  /// Logical links splitting traffic across two cost-tied disjoint paths.
-  std::size_t route_splits = 0;
 
   // Fault-scenario accounting (ArchConfig::scenario; see src/scenario/).
   /// Route re-establishments over the trial: a logical link switching to a
@@ -70,22 +67,16 @@ struct RunResult {
   /// as `outage_downtime_mean` / `_p50` / `_p99` in bench reports.
   double outage_downtime = 0.0;
 
-  // Degraded-mode accounting (opt-in salvage / re-sharing / retry knobs;
-  // see docs/ARCHITECTURE.md "Fault handling & degraded modes"). All zero
-  // with the knobs off.
+  // Degraded-mode accounting (opt-in salvage knob; see docs/ARCHITECTURE.md
+  // "Fault handling & degraded modes"). All zero with the knob off.
   /// Pairs rescued across an outage (salvage_pairs): end-to-end pairs
   /// assembled from pre-outage hop stock over a severed route (swap-as-
   /// you-go), pairs consumed or kept through a route loss / re-plan in
   /// the composed model.
   std::size_t pairs_salvaged = 0;
   /// Buffered pairs dropped at fault boundaries: stock at a down node
-  /// (salvage_pairs) or overflow from a shrunken capacity share
-  /// (reshare_at_boundaries), oldest first.
+  /// (salvage_pairs).
   std::size_t pairs_discarded = 0;
-  /// Generation services that at some point went more than
-  /// ArchConfig::stall_windows attempt windows without one successful
-  /// generation (0 when the watchdog is off).
-  std::size_t links_stalled = 0;
   /// True when the trial hit ArchConfig::max_trial_sim_time and stopped
   /// with unfinished gates; every metric is then a partial figure over
   /// the truncated horizon.
@@ -124,12 +115,10 @@ struct AggregateResult {
   Accumulator avg_route_hops;
   Accumulator edges_shared;
   Accumulator max_edge_load;
-  Accumulator route_splits;
   Accumulator reroutes;
   Accumulator outage_downtime;
   Accumulator pairs_salvaged;
   Accumulator pairs_discarded;
-  Accumulator links_stalled;
   /// Fraction of runs that hit the trial sim-time budget (mean of 0/1).
   Accumulator truncated;
 

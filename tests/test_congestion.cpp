@@ -1,8 +1,9 @@
 /// Unit and engine-level tests for the opt-in contention modes
-/// (net/congestion.hpp + ArchConfig knobs): deterministic capacity shares,
-/// congestion-aware route assignment, star-hub throughput degradation under
-/// shared capacity, swap-as-you-go delivery on long chains, and the
-/// thread-count bit-identity contract with every knob enabled.
+/// (ArchConfig::share_edge_capacity / swap_as_you_go): deterministic
+/// capacity shares, star-hub throughput degradation under shared capacity,
+/// swap-as-you-go delivery on long chains, and thread-count bit-identity
+/// of the boundary re-planning under outages. The full knob cross product
+/// is covered by DegradedDeterminism in test_degraded.cpp.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
-#include "net/congestion.hpp"
+#include "net/swap.hpp"
 #include "net/topology.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/engine.hpp"
@@ -60,105 +62,6 @@ TEST(CapacityShare, NonpositiveCapacityPassesThrough) {
 
 TEST(CapacityShare, UnloadedEdgeKeepsFullBudget) {
   EXPECT_EQ(capacity_share(7, 1, 0), 7);
-}
-
-// ---------------------------------------------------- CongestionPlanner ----
-
-std::vector<double> unit_costs(const Topology& topo) {
-  return std::vector<double>(topo.num_edges(), 1.0);
-}
-
-TEST(CongestionPlanner, LaterTrafficDetoursAroundLoadedEdges) {
-  // ring(4): 0-2 has two 2-hop paths, via 1 and via 3. Unloaded, the
-  // planner picks a deterministic one; after charging that path twice, the
-  // load-scaled cost makes the other side strictly cheaper.
-  const Topology topo = Topology::ring(4);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, /*alpha=*/1.0, nullptr);
-
-  RoutePlan first;
-  planner.plan(0, 2, /*split_tied=*/false, first);
-  ASSERT_TRUE(first.has_route);
-  EXPECT_EQ(first.primary.hops(), 2);
-
-  RoutePlan second;
-  planner.plan(0, 2, /*split_tied=*/false, second);
-  ASSERT_TRUE(second.has_route);
-  EXPECT_EQ(second.primary.hops(), 2);
-  // The two plans take edge-disjoint sides of the ring.
-  for (const std::size_t e : second.primary.edges) {
-    for (const std::size_t f : first.primary.edges) {
-      EXPECT_NE(e, f);
-    }
-  }
-  // Both paths charged: every ring edge now carries exactly one route.
-  for (const int load : planner.edge_load()) EXPECT_EQ(load, 1);
-}
-
-TEST(CongestionPlanner, ZeroAlphaReproducesStaticRoutes) {
-  const Topology topo = Topology::star(6);
-  const std::vector<double> costs = unit_costs(topo);
-  const Router router(topo, costs);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, /*alpha=*/0.0, nullptr);
-  for (int leaf = 1; leaf < 6; ++leaf) {
-    RoutePlan plan;
-    planner.plan(leaf, (leaf % 5) + 1, false, plan);
-    ASSERT_TRUE(plan.has_route);
-    EXPECT_EQ(plan.primary.edges,
-              router.route(leaf, (leaf % 5) + 1).edges);
-  }
-}
-
-TEST(CongestionPlanner, TiedDisjointPathsSplit) {
-  const Topology topo = Topology::ring(4);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, nullptr);
-  RoutePlan plan;
-  planner.plan(0, 2, /*split_tied=*/true, plan);
-  ASSERT_TRUE(plan.has_route);
-  EXPECT_TRUE(plan.split);
-  EXPECT_EQ(plan.primary.hops(), 2);
-  EXPECT_EQ(plan.alternate.hops(), 2);
-  for (const std::size_t e : plan.alternate.edges) {
-    for (const std::size_t f : plan.primary.edges) EXPECT_NE(e, f);
-  }
-  // Both sides are charged, so the next pair sees a uniformly loaded ring.
-  for (const int load : planner.edge_load()) EXPECT_EQ(load, 1);
-}
-
-TEST(CongestionPlanner, NoDisjointAlternateMeansNoSplit) {
-  // A chain has a unique path: requesting a split must not invent one.
-  const Topology topo = Topology::chain(5);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, nullptr);
-  RoutePlan plan;
-  planner.plan(0, 4, true, plan);
-  ASSERT_TRUE(plan.has_route);
-  EXPECT_FALSE(plan.split);
-  EXPECT_EQ(plan.primary.hops(), 4);
-}
-
-TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
-  const Topology topo = Topology::ring(4);
-  const std::vector<double> costs = unit_costs(topo);
-  std::vector<char> enabled(topo.num_edges(), 1);
-  enabled[topo.edge_index(0, 1)] = 0;
-  CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, &enabled);
-  RoutePlan plan;
-  planner.plan(0, 1, false, plan);
-  ASSERT_TRUE(plan.has_route);
-  EXPECT_EQ(plan.primary.hops(), 3);  // the long way around
-
-  // Masking both endpoints' edges disconnects the pair.
-  enabled[topo.edge_index(0, 3)] = 0;
-  planner.begin(topo, costs, 1.0, &enabled);
-  planner.plan(0, 2, false, plan);
-  EXPECT_FALSE(plan.has_route);
 }
 
 // --------------------------------------------------- engine-level tests ----
@@ -224,7 +127,6 @@ TEST(SharedCapacity, KnobIsNoOpWithoutTopology) {
   legacy.num_nodes = 8;
   ArchConfig knobs = legacy;
   knobs.share_edge_capacity = true;
-  knobs.congestion_aware_routing = true;
   knobs.swap_as_you_go = true;
   const AggregateResult a =
       runtime::run_design(qc, nodes, legacy, DesignKind::AsyncBuf, 4, 7, 1);
@@ -235,33 +137,6 @@ TEST(SharedCapacity, KnobIsNoOpWithoutTopology) {
   EXPECT_EQ(a.edges_shared.mean(), 0.0);
 }
 
-TEST(CongestionRouting, UniquePathTopologyIsBitIdenticalToLegacy) {
-  // On a star every pair has a unique path, so congestion-aware routing
-  // (without capacity sharing) must reproduce the legacy engine exactly —
-  // same routes, same budgets, same draws.
-  const Circuit qc = hub_circuit();
-  const std::vector<int> nodes = hub_assignment();
-  const ArchConfig legacy = star_config();
-  ArchConfig congested = star_config();
-  congested.congestion_aware_routing = true;
-  for (const DesignKind design : runtime::distributed_designs()) {
-    SCOPED_TRACE(runtime::design_name(design));
-    const AggregateResult a =
-        runtime::run_design(qc, nodes, legacy, design, 4, 11, 1);
-    const AggregateResult b =
-        runtime::run_design(qc, nodes, congested, design, 4, 11, 1);
-    EXPECT_EQ(a.depth.mean(), b.depth.mean());
-    EXPECT_EQ(a.depth.stddev(), b.depth.stddev());
-    EXPECT_EQ(a.fidelity.mean(), b.fidelity.mean());
-    EXPECT_EQ(a.epr_wasted.mean(), b.epr_wasted.mean());
-  }
-}
-
-// Two-node chain: one physical edge, zero swaps. Swap-as-you-go then
-// differs from the composed model only in bookkeeping (pairs transit the
-// per-edge pool instead of the per-link service), so timing statistics
-// must match exactly and fidelity to float round-off (the single-pair
-// "fusion" round-trips the Werner weight once).
 TEST(SwapAsYouGo, SingleHopMatchesComposedModel) {
   Circuit qc(4);
   for (int rep = 0; rep < 6; ++rep) {
@@ -339,34 +214,10 @@ TEST(SwapAsYouGo, OnDemandDesignRunsDegradedPerEdgeService) {
 
 // ----------------------------------------------------------- determinism ----
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.avg_route_hops, b.avg_route_hops, "avg_route_hops");
-  expect_identical(a.edges_shared, b.edges_shared, "edges_shared");
-  expect_identical(a.max_edge_load, b.max_edge_load, "max_edge_load");
-  expect_identical(a.route_splits, b.route_splits, "route_splits");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-}
+using test_support::expect_identical;
 
 /// 8 qubits over 4 ring nodes with traffic on four node pairs, two of them
-/// non-adjacent (multi-hop, eligible for tied-path splits).
+/// non-adjacent (multi-hop).
 Circuit ring_circuit() {
   Circuit qc(8);
   for (int rep = 0; rep < 3; ++rep) {
@@ -379,48 +230,10 @@ Circuit ring_circuit() {
   return qc;
 }
 
-TEST(CongestionDeterminism, EveryKnobCombinationIsThreadCountInvariant) {
-  const Circuit qc = ring_circuit();
-  const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
-  constexpr int kRuns = 8;
-  constexpr std::uint64_t kSeed = 500;
-
-  struct Combo {
-    const char* name;
-    bool share, congest, swap_go;
-  };
-  const Combo combos[] = {
-      {"shared", true, false, false},
-      {"congestion", false, true, false},
-      {"swap_go", false, false, true},
-      {"all", true, true, true},
-  };
-  for (const Combo& combo : combos) {
-    ArchConfig config;
-    config.num_nodes = 4;
-    config.set_topology(Topology::ring(4));
-    config.share_edge_capacity = combo.share;
-    config.congestion_aware_routing = combo.congest;
-    config.swap_as_you_go = combo.swap_go;
-    for (const DesignKind design : runtime::distributed_designs()) {
-      const AggregateResult serial = runtime::run_design(
-          qc, nodes, config, design, kRuns, kSeed, /*threads=*/1);
-      for (const int threads : {0, 2, 4}) {
-        SCOPED_TRACE(std::string(combo.name) + " " +
-                     runtime::design_name(design) + " @ " +
-                     std::to_string(threads) + " threads");
-        const AggregateResult parallel = runtime::run_design(
-            qc, nodes, config, design, kRuns, kSeed, threads);
-        expect_identical(serial, parallel);
-      }
-    }
-  }
-}
-
 TEST(CongestionDeterminism, OutageRePlanningIsThreadCountInvariant) {
-  // Outage boundaries re-run the congestion pass over the surviving
-  // subgraph and (in swap mode) re-serve every link; the whole machinery
-  // must stay bit-identical across thread counts.
+  // Outage boundaries re-route every link over the surviving subgraph and
+  // (in swap mode) re-serve every link; the whole machinery must stay
+  // bit-identical across thread counts.
   const Circuit qc = ring_circuit();
   const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
   scenario::Scenario scn;
@@ -433,7 +246,6 @@ TEST(CongestionDeterminism, OutageRePlanningIsThreadCountInvariant) {
     config.set_topology(Topology::ring(4));
     config.set_scenario(scn);
     config.share_edge_capacity = !swap_go;
-    config.congestion_aware_routing = true;
     config.swap_as_you_go = swap_go;
     for (const DesignKind design : runtime::distributed_designs()) {
       const AggregateResult serial =

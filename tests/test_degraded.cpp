@@ -1,8 +1,7 @@
 /// Engine-level tests for degraded-mode delivery under faults: mid-flight
-/// pair salvage (swap-as-you-go and composed), boundary capacity
-/// re-sharing, retry/backoff wiring, the link_stalled watchdog, the trial
-/// sim-time budget, and the determinism contract for every new knob
-/// combination (thread-count invariance under drift + outages).
+/// pair salvage (swap-as-you-go and composed), the trial sim-time budget,
+/// and the determinism contract for the full cross product of the opt-in
+/// engine knobs (thread-count invariance under drift + outages).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "ent/link_params.hpp"
+#include "expect_identical.hpp"
 #include "net/topology.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/engine.hpp"
@@ -37,28 +36,14 @@ RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
 
 // ------------------------------------------------------------ validation ----
 
-TEST(DegradedConfig, ReshareRequiresSharedCapacity) {
-  ArchConfig config;
-  config.num_nodes = 4;
-  config.set_topology(net::Topology::ring(4));
-  config.reshare_at_boundaries = true;
-  EXPECT_THROW(config.validate(), ConfigError);
-  config.share_edge_capacity = true;
-  EXPECT_NO_THROW(config.validate());
-}
-
 TEST(DegradedConfig, ValidateCatchesBadKnobs) {
   ArchConfig config;
-  config.stall_windows = -1;
-  EXPECT_THROW(config.validate(), ConfigError);
-  config.stall_windows = 0;
   config.max_trial_sim_time = 0.0;
+  EXPECT_THROW(config.validate(), ConfigError);
+  config.max_trial_sim_time = -5.0;
   EXPECT_THROW(config.validate(), ConfigError);
   config.max_trial_sim_time = 1.0;
   EXPECT_NO_THROW(config.validate());
-  config.retry_policy.kind = ent::RetryKind::Fixed;
-  config.retry_policy.interval = -1.0;
-  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 // -------------------------------------------------------------- salvage -----
@@ -143,102 +128,6 @@ TEST(Salvage, ComposedModeCountsSalvageWithoutChangingResults) {
   EXPECT_GE(on.pairs_salvaged, 3u);
 }
 
-// -------------------------------------------------------------- reshare -----
-
-/// Ring(6) with two *disjoint* two-hop links (0-2 via 0-1-2, 3-5 via
-/// 3-4-5): at t=0 every edge load is 1, so t=0 shares equal the full
-/// budget. A long outage on edge {4, 5} then detours 3-5 onto
-/// 3-2-1-0-5, which shares edges {1, 2} and {0, 1} with the 0-2 link.
-Circuit disjoint_then_overlapping_circuit() {
-  Circuit qc(12);
-  for (int rep = 0; rep < 20; ++rep) {
-    qc.rzz(0, 4, 0.1);   // nodes 0-2
-    qc.rzz(6, 10, 0.1);  // nodes 3-5
-  }
-  return qc;
-}
-
-TEST(Reshare, BoundaryReshareThrottlesRoutesSharingASurvivingEdge) {
-  const Circuit qc = disjoint_then_overlapping_circuit();
-  const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5};
-  ArchConfig frozen;
-  frozen.num_nodes = 6;
-  frozen.set_topology(net::Topology::ring(6));
-  frozen.share_edge_capacity = true;
-  Scenario scn;
-  scn.link_outages.push_back({4, 5, 15.0, 1500.0});
-  frozen.set_scenario(scn);
-  ArchConfig reshared = frozen;
-  reshared.reshare_at_boundaries = true;
-
-  const RunResult a = run_once(qc, nodes, frozen, DesignKind::AsyncBuf);
-  const RunResult b = run_once(qc, nodes, reshared, DesignKind::AsyncBuf);
-  // Frozen shares keep both links drawing their full t=0 budgets over the
-  // now-shared edges; resharing shrinks the comm-pair grants for the
-  // whole fault window, so strictly fewer generation attempts run.
-  EXPECT_LT(b.epr_attempts, a.epr_attempts);
-  EXPECT_GT(b.reroutes, 0u);
-}
-
-// -------------------------------------------------------- retry/watchdog ----
-
-TEST(RetryKnob, BackoffReducesProbingOnAFailingLink) {
-  // Backoff changes the attempt *rate*, not the attempts-per-success law
-  // (the Bernoulli stream per pair is untouched), so the observable is
-  // probing over a fixed sim-time horizon on a link that effectively
-  // never succeeds: every-window probes each cycle, backoff stretches
-  // the gaps up to the ceiling.
-  Circuit qc(4);
-  qc.rzz(0, 2, 0.1);
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig every;
-  every.num_nodes = 2;
-  every.set_topology(net::Topology::chain(2));
-  every.p_succ = 1e-7;  // dead-in-practice link
-  every.max_trial_sim_time = 2000.0;
-  ArchConfig backoff = every;
-  backoff.retry_policy.kind = ent::RetryKind::ExponentialBackoff;
-  backoff.retry_policy.interval = backoff.lat.epr_cycle;
-  backoff.retry_policy.growth = 2.0;
-  backoff.retry_policy.max_interval = 16.0 * backoff.lat.epr_cycle;
-
-  const RunResult a = run_once(qc, nodes, every, DesignKind::AsyncBuf);
-  const RunResult b = run_once(qc, nodes, backoff, DesignKind::AsyncBuf);
-  EXPECT_TRUE(a.truncated);
-  EXPECT_TRUE(b.truncated);
-  EXPECT_GT(a.epr_attempts, 2u * b.epr_attempts);
-  EXPECT_GT(b.epr_attempts, 0u);
-}
-
-TEST(StallWatchdog, LongOutageTripsTheWatchdog) {
-  Circuit qc(4);
-  for (int i = 0; i < 10; ++i) qc.rzz(0, 2, 0.1);
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig config;
-  config.num_nodes = 2;
-  config.set_topology(net::Topology::chain(2));
-  Scenario scn;
-  scn.link_outages.push_back({0, 1, 12.0, 200.0});
-  config.set_scenario(scn);
-
-  // Watchdog off: nothing reported.
-  const RunResult off = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(off.links_stalled, 0u);
-
-  // A 200-unit success drought beats 10 attempt windows (100 units).
-  config.stall_windows = 10;
-  const RunResult tight = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(tight.links_stalled, 1u);
-  // The watchdog is observation only: identical trial results.
-  EXPECT_EQ(off.depth, tight.depth);
-  EXPECT_EQ(off.fidelity, tight.fidelity);
-
-  // A lenient threshold stays quiet.
-  config.stall_windows = 50;
-  const RunResult loose = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(loose.links_stalled, 0u);
-}
-
 // ------------------------------------------------------------ truncation ----
 
 TEST(Truncation, PermanentOutageTerminatesAtTheBudget) {
@@ -284,32 +173,7 @@ TEST(Truncation, GenerousBudgetIsBitIdenticalToNoBudget) {
 
 // ----------------------------------------------------------- determinism ----
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.avg_route_hops, b.avg_route_hops, "avg_route_hops");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-  expect_identical(a.pairs_salvaged, b.pairs_salvaged, "pairs_salvaged");
-  expect_identical(a.pairs_discarded, b.pairs_discarded, "pairs_discarded");
-  expect_identical(a.links_stalled, b.links_stalled, "links_stalled");
-  expect_identical(a.truncated, b.truncated, "truncated");
-}
+using test_support::expect_identical;
 
 /// 8 qubits over 4 nodes with remote traffic on four node pairs.
 Circuit four_node_circuit() {
@@ -343,51 +207,35 @@ Scenario faulty_scenario() {
 }
 
 TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
+  // The full cross product of the opt-in engine knobs — share_edge_capacity
+  // x swap_as_you_go x salvage_pairs x {no budget, max_trial_sim_time 900}
+  // — under drift + outages, for every distributed design: each of the 16
+  // combinations must be bit-identical at every thread count.
   const Circuit qc = four_node_circuit();
   const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
   constexpr int kRuns = 6;
   constexpr std::uint64_t kSeed = 1200;
 
-  struct Combo {
-    const char* name;
-    bool swap_go, salvage, share, reshare, retry, jitter;
-    int stall;
-    double budget;
-  };
-  const Combo combos[] = {
-      {"salvage_swap_go", true, true, false, false, false, false, 0, 1e18},
-      {"salvage_composed", false, true, false, false, false, false, 0, 1e18},
-      {"reshare", false, false, true, true, false, false, 0, 1e18},
-      {"retry_jitter", false, false, false, false, true, true, 0, 1e18},
-      {"stall_budget", false, false, false, false, false, false, 5, 900.0},
-      {"all_swap_go", true, true, false, false, true, true, 5, 900.0},
-      {"all_composed", false, true, true, true, true, true, 5, 900.0},
-  };
-  for (const Combo& combo : combos) {
+  for (unsigned combo = 0; combo < 16; ++combo) {
     ArchConfig config;
     config.num_nodes = 4;
     config.set_topology(net::Topology::ring(4));
     config.set_scenario(faulty_scenario());
-    config.swap_as_you_go = combo.swap_go;
-    config.salvage_pairs = combo.salvage;
-    config.share_edge_capacity = combo.share;
-    config.reshare_at_boundaries = combo.reshare;
-    if (combo.retry) {
-      config.retry_policy.kind = ent::RetryKind::ExponentialBackoff;
-      config.retry_policy.interval = config.lat.epr_cycle;
-      config.retry_policy.growth = 2.0;
-      config.retry_policy.max_interval = 8.0 * config.lat.epr_cycle;
-      config.retry_policy.attempt_cutoff = 6;
-      if (combo.jitter) config.retry_policy.jitter = 0.3;
-    }
-    config.stall_windows = combo.stall;
-    config.max_trial_sim_time = combo.budget;
+    config.share_edge_capacity = (combo & 1u) != 0;
+    config.swap_as_you_go = (combo & 2u) != 0;
+    config.salvage_pairs = (combo & 4u) != 0;
+    if ((combo & 8u) != 0) config.max_trial_sim_time = 900.0;
+    const std::string name =
+        std::string("share=") + (config.share_edge_capacity ? "1" : "0") +
+        " swap_go=" + (config.swap_as_you_go ? "1" : "0") +
+        " salvage=" + (config.salvage_pairs ? "1" : "0") +
+        " budget=" + ((combo & 8u) != 0 ? "900" : "none");
     for (const DesignKind design : distributed_designs()) {
       const AggregateResult serial =
           run_design(qc, nodes, config, design, kRuns, kSeed, /*threads=*/1);
       for (const int threads : {0, 2, 4}) {
-        SCOPED_TRACE(std::string(combo.name) + " " + design_name(design) +
-                     " @ " + std::to_string(threads) + " threads");
+        SCOPED_TRACE(name + " " + design_name(design) + " @ " +
+                     std::to_string(threads) + " threads");
         const AggregateResult parallel =
             run_design(qc, nodes, config, design, kRuns, kSeed, threads);
         expect_identical(serial, parallel);

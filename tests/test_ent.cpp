@@ -436,73 +436,6 @@ TEST(ArrivalTrace, BurstinessZeroWhenEmpty) {
 
 // ----------------------------------------------- degraded-mode primitives ----
 
-TEST(RetryPolicy, ValidateCatchesEveryBadField) {
-  const auto expect_bad = [](auto mutate) {
-    RetryPolicy r;
-    r.kind = RetryKind::ExponentialBackoff;
-    r.interval = 10.0;
-    mutate(r);
-    EXPECT_THROW(r.validate(), ConfigError);
-  };
-  expect_bad([](RetryPolicy& r) { r.interval = 0.0; });
-  expect_bad([](RetryPolicy& r) { r.growth = 0.5; });
-  expect_bad([](RetryPolicy& r) { r.max_interval = 5.0; });  // < interval
-  expect_bad([](RetryPolicy& r) { r.jitter = 1.0; });        // must be < 1
-  expect_bad([](RetryPolicy& r) { r.jitter = -0.1; });
-  expect_bad([](RetryPolicy& r) { r.attempt_cutoff = -1; });
-  expect_bad([](RetryPolicy& r) { r.attempt_cutoff = 3; });  // infinite ceiling
-  // The default every-window policy validates whatever the other fields
-  // hold — they are ignored.
-  RetryPolicy off;
-  off.interval = -5.0;
-  EXPECT_NO_THROW(off.validate());
-  // A well-formed backoff policy passes.
-  RetryPolicy ok;
-  ok.kind = RetryKind::ExponentialBackoff;
-  ok.interval = 10.0;
-  ok.max_interval = 80.0;
-  ok.attempt_cutoff = 4;
-  ok.jitter = 0.25;
-  EXPECT_NO_THROW(ok.validate());
-}
-
-TEST(BufferPool, ResizeShrinkDropsOldestFirst) {
-  BufferPool pool(4, 0.99, 0.002, 1e9);
-  pool.deposit(1.0);
-  pool.deposit(2.0);
-  pool.deposit(3.0);
-  EXPECT_EQ(pool.resize_capacity(2, 4.0), 1u);  // the t=1 pair dropped
-  EXPECT_EQ(pool.size(4.0), 2u);
-  const auto oldest = pool.pop_oldest(4.0);
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_DOUBLE_EQ(oldest->deposited, 2.0);
-  // The pool enforces the new capacity: one slot freed by the pop.
-  EXPECT_TRUE(pool.deposit(5.0));
-  EXPECT_FALSE(pool.deposit(6.0));
-}
-
-TEST(BufferPool, ResizeGrowKeepsStockAndOpensRoom) {
-  BufferPool pool(1, 0.99, 0.002, 1e9);
-  pool.deposit(1.0);
-  EXPECT_FALSE(pool.deposit(2.0));
-  EXPECT_EQ(pool.resize_capacity(3, 3.0), 0u);
-  EXPECT_TRUE(pool.deposit(4.0));
-  EXPECT_TRUE(pool.deposit(5.0));
-  EXPECT_FALSE(pool.deposit(6.0));
-  const auto pair = pool.pop_oldest(7.0);
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_DOUBLE_EQ(pair->deposited, 1.0);  // pre-resize stock survived
-}
-
-TEST(BufferPool, ResizeExpiresBeforeDropping) {
-  BufferPool pool(3, 0.99, 0.002, /*cutoff=*/10.0);
-  pool.deposit(0.0);   // expired by t=15
-  pool.deposit(12.0);  // live
-  EXPECT_EQ(pool.resize_capacity(1, 15.0), 0u);  // expiry made room
-  EXPECT_EQ(pool.total_expired(), 1u);
-  EXPECT_EQ(pool.size(15.0), 1u);
-}
-
 TEST(BufferPool, FlushDropsEverythingAndReportsCount) {
   BufferPool pool(4, 0.99, 0.002, 1e9);
   pool.deposit(1.0);
@@ -513,106 +446,6 @@ TEST(BufferPool, FlushDropsEverythingAndReportsCount) {
   EXPECT_FALSE(pool.pop_oldest(4.0).has_value());
   EXPECT_TRUE(pool.deposit(5.0));  // pool remains usable
   EXPECT_EQ(pool.flush(6.0), 1u);
-}
-
-TEST(GenerationService, FixedRetryAtOrBelowCycleIsIdentity) {
-  // A retry interval no longer than the attempt window clamps to the
-  // window: the schedule (and the RNG stream — jitter off draws nothing)
-  // is bit-identical to the every-window default.
-  LinkParams every = paper_link();
-  every.p_succ = 0.3;
-  LinkParams fixed = every;
-  fixed.retry.kind = RetryKind::Fixed;
-  fixed.retry.interval = every.cycle_time / 2.0;
-
-  des::Simulator sim_a;
-  Rng rng_a(42);
-  GenerationService a(sim_a, every, rng_a, ServiceMode::Buffered);
-  des::Simulator sim_b;
-  Rng rng_b(42);
-  GenerationService b(sim_b, fixed, rng_b, ServiceMode::Buffered);
-  a.start();
-  b.start();
-  sim_a.run_until(500.0);
-  sim_b.run_until(500.0);
-  EXPECT_EQ(a.attempts(), b.attempts());
-  EXPECT_EQ(a.successes(), b.successes());
-  ASSERT_EQ(a.trace().arrivals().size(), b.trace().arrivals().size());
-  for (std::size_t i = 0; i < a.trace().arrivals().size(); ++i) {
-    EXPECT_EQ(a.trace().arrivals()[i], b.trace().arrivals()[i]);
-  }
-}
-
-TEST(GenerationService, ExponentialBackoffThrottlesFailingLink) {
-  // A link that essentially never succeeds: every-window probes each
-  // cycle, backoff doubles the gap up to the ceiling — far fewer attempts
-  // over the same horizon.
-  LinkParams every = paper_link();
-  every.p_succ = 1e-9;
-  every.num_comm_pairs = 1;
-  LinkParams backoff = every;
-  backoff.retry.kind = RetryKind::ExponentialBackoff;
-  backoff.retry.interval = every.cycle_time;
-  backoff.retry.growth = 2.0;
-  backoff.retry.max_interval = 64.0 * every.cycle_time;
-
-  des::Simulator sim_a;
-  Rng rng_a(7);
-  GenerationService a(sim_a, every, rng_a, ServiceMode::Buffered);
-  des::Simulator sim_b;
-  Rng rng_b(7);
-  GenerationService b(sim_b, backoff, rng_b, ServiceMode::Buffered);
-  a.start();
-  b.start();
-  sim_a.run_until(10000.0);
-  sim_b.run_until(10000.0);
-  EXPECT_GE(a.attempts(), 999u);  // one per cycle
-  EXPECT_LT(b.attempts(), a.attempts() / 4);
-  EXPECT_GT(b.attempts(), 0u);
-}
-
-TEST(GenerationService, AttemptCutoffDropsToProbingRate) {
-  // After attempt_cutoff consecutive failures the pair probes at the
-  // ceiling interval straight away.
-  LinkParams link = paper_link();
-  link.p_succ = 1e-9;
-  link.num_comm_pairs = 1;
-  link.retry.kind = RetryKind::ExponentialBackoff;
-  link.retry.interval = link.cycle_time;
-  link.retry.growth = 1.0;  // no growth: cutoff is the only throttle
-  link.retry.max_interval = 50.0 * link.cycle_time;
-  link.retry.attempt_cutoff = 3;
-
-  des::Simulator sim;
-  Rng rng(7);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.run_until(10000.0);
-  // 3 tight attempts (t=10,20,30), then every 500: attempts stay near
-  // 3 + horizon / max_interval instead of one per cycle.
-  EXPECT_LT(svc.attempts(), 30u);
-  EXPECT_GE(svc.attempts(), 20u);
-}
-
-TEST(GenerationService, JitterDrawsPerturbDelaysDeterministically) {
-  LinkParams link = paper_link();
-  link.p_succ = 0.05;
-  link.num_comm_pairs = 2;
-  link.retry.kind = RetryKind::Fixed;
-  link.retry.interval = 3.0 * link.cycle_time;
-  link.retry.jitter = 0.5;
-
-  const auto run = [&](std::uint64_t seed) {
-    des::Simulator sim;
-    Rng rng(seed);
-    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-    svc.start();
-    sim.run_until(2000.0);
-    return std::tuple(svc.attempts(), svc.successes());
-  };
-  const auto a = run(11);
-  EXPECT_EQ(a, run(11));       // same seed replays exactly
-  EXPECT_NE(a, run(12));       // jitter stream is seed-dependent
 }
 
 TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
@@ -638,68 +471,6 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   never.start();
   sim2.run_until(95.0);
   EXPECT_DOUBLE_EQ(never.max_delivery_gap(sim2.now()), sim2.now());
-}
-
-TEST(GenerationService, CapacityShareShrinkFinishesInFlightWindow) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 2;
-  link.buffer_capacity = 10;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.run_until(5.0);
-  // Both pairs have an in-flight window ending at t=10; shrinking to one
-  // pair lets both complete (the epoch guard) and only then stops pair 1.
-  EXPECT_EQ(svc.set_capacity_share(1, 10), 0u);
-  sim.run_until(45.0);
-  // t=10: 2 attempts (both in-flight windows), then one per cycle at
-  // t=20, 30, 40 from the surviving pair.
-  EXPECT_EQ(svc.attempts(), 5u);
-  EXPECT_EQ(svc.successes(), 5u);
-}
-
-TEST(GenerationService, CapacityShareGrowRestartsOnlyDeadChains) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 2;
-  link.buffer_capacity = 10;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.run_until(15.0);   // both chains fired at t=10
-  svc.set_capacity_share(1, 10);
-  sim.run_until(25.0);   // pair 1's chain dies after its t=20 completion
-  svc.set_capacity_share(2, 10);
-  sim.run_until(44.0);
-  // Pair 0 fires at t=10,20,30,40; pair 1 at t=10, t=20 (the in-flight
-  // window that ends its chain), then restarted at t=25 on a fresh grid:
-  // one completion at t=35 inside the horizon.
-  EXPECT_EQ(svc.attempts(), 7u);
-  // A second grow to an already-alive chain is a no-op (no double chain).
-  svc.set_capacity_share(2, 10);
-  sim.run_until(54.0);
-  EXPECT_EQ(svc.attempts(), 9u);  // t=45 (pair 1), t=50 (pair 0)
-}
-
-TEST(GenerationService, CapacityShareShrinkReturnsDroppedOverflow) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 4;
-  link.buffer_capacity = 4;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.run_until(15.0);  // buffer holds 4 pairs
-  EXPECT_EQ(svc.buffer().size(sim.now()), 4u);
-  EXPECT_EQ(svc.set_capacity_share(1, 1), 3u);  // oldest three dropped
-  EXPECT_EQ(svc.buffer().size(sim.now()), 1u);
 }
 
 }  // namespace

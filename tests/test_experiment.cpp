@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
@@ -85,23 +86,7 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 
 // ----------------------------------------------------------- determinism ----
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-}
+using test_support::expect_identical;
 
 TEST(ExperimentDeterminism, ParallelRunDesignIsBitIdenticalToSerial) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);

@@ -1,18 +1,24 @@
 /// Unit tests for workload generators: regular graphs, QFT, QAOA, TLIM,
-/// and the frozen benchmark suite (paper Table I structure).
+/// the frozen benchmark suite (paper Table I structure), and functional
+/// validation of the generated circuits on the exact density-matrix
+/// simulator (QFT against the exact DFT).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <numbers>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "gen/benchmarks.hpp"
 #include "gen/qaoa.hpp"
 #include "gen/qft.hpp"
 #include "gen/regular_graph.hpp"
 #include "gen/tlim.hpp"
+#include "qsim/density_matrix.hpp"
 
 namespace dqcsim::gen {
 namespace {
@@ -268,6 +274,106 @@ TEST(Benchmarks, The32QSubset) {
   const auto subset = benchmarks_32q();
   ASSERT_EQ(subset.size(), 4u);
   for (const auto id : subset) EXPECT_EQ(benchmark_qubits(id), 32);
+}
+
+// ------------------------------------------------ functional validation ----
+// Generated circuits run gate by gate on the exact density-matrix simulator;
+// unitary gates keep a pure input pure, so rho = |psi><psi| throughout.
+
+using qsim::Complex;
+using qsim::DensityMatrix;
+
+std::vector<Complex> basis_state(int num_qubits, std::size_t k) {
+  std::vector<Complex> amps(std::size_t{1} << num_qubits, Complex{0, 0});
+  amps[k] = Complex{1, 0};
+  return amps;
+}
+
+DensityMatrix run_pure(const Circuit& qc, const std::vector<Complex>& input) {
+  DensityMatrix rho(input);
+  for (const Gate& g : qc.gates()) rho.apply_gate(g);
+  return rho;
+}
+
+/// Exact output of make_qft on basis state |k>: the discrete Fourier
+/// transform with amplitudes exp(2*pi*i*j*rev(k)/2^n)/sqrt(2^n), where
+/// rev() bit-reverses k — make_qft omits the final SWAP network and the
+/// basis indexing is little-endian, which folds the reversal onto the
+/// input index.
+std::vector<Complex> qft_reference_state(int num_qubits, std::size_t k) {
+  const std::size_t dim = std::size_t{1} << num_qubits;
+  const double inv_sqrt = 1.0 / std::sqrt(static_cast<double>(dim));
+  std::size_t k_rev = 0;
+  for (int b = 0; b < num_qubits; ++b) {
+    if (k & (std::size_t{1} << b)) {
+      k_rev |= std::size_t{1} << (num_qubits - 1 - b);
+    }
+  }
+  std::vector<Complex> amps(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double phase = 2.0 * std::numbers::pi * static_cast<double>(j) *
+                         static_cast<double>(k_rev) /
+                         static_cast<double>(dim);
+    amps[j] = Complex{std::cos(phase), std::sin(phase)} * inv_sqrt;
+  }
+  return amps;
+}
+
+class QftFunctional : public ::testing::TestWithParam<int> {};
+
+TEST_P(QftFunctional, MatchesExactDftOnAllBasisStates) {
+  const int n = GetParam();
+  const Circuit qft = make_qft(n);
+  for (std::size_t k = 0; k < (std::size_t{1} << n); ++k) {
+    const DensityMatrix rho = run_pure(qft, basis_state(n, k));
+    ASSERT_NEAR(rho.fidelity_with_pure(qft_reference_state(n, k)), 1.0, 1e-9)
+        << "QFT-" << n << " on basis state " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, QftFunctional, ::testing::Values(1, 2, 3, 4,
+                                                                  5, 6));
+
+TEST(QftFunctional, SuperpositionInput) {
+  // Linearity check: QFT of (|0> + |3>)/sqrt(2) on 3 qubits.
+  const int n = 3;
+  std::vector<Complex> input(8, Complex{0, 0});
+  input[0] = Complex{1, 0};
+  input[3] = Complex{1, 0};
+  const DensityMatrix rho = run_pure(make_qft(n), input);
+
+  const std::vector<Complex> r0 = qft_reference_state(n, 0);
+  const std::vector<Complex> r3 = qft_reference_state(n, 3);
+  std::vector<Complex> expected(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    expected[i] = (r0[i] + r3[i]) / std::sqrt(2.0);
+  }
+  EXPECT_NEAR(rho.fidelity_with_pure(expected), 1.0, 1e-9);
+}
+
+TEST(TlimFunctional, TrotterStepPreservesNormAndActs) {
+  TlimParams params;
+  params.steps = 2;
+  const Circuit qc = make_tlim(6, params);
+  const DensityMatrix rho = run_pure(qc, basis_state(6, 0));
+  EXPECT_NEAR(rho.trace(), 1.0, 1e-9);
+  EXPECT_NEAR(rho.purity(), 1.0, 1e-9);
+  // The transverse field must move population out of |000000>.
+  EXPECT_LT(rho.element(0, 0).real(), 0.999);
+}
+
+TEST(QaoaFunctional, PlusStateIsUniformAfterHLayer) {
+  Rng rng(3);
+  const Circuit qc = make_qaoa_regular(6, 2, rng);
+  const DensityMatrix rho = run_pure(qc, basis_state(6, 0));
+  EXPECT_NEAR(rho.trace(), 1.0, 1e-9);
+  // QAOA output magnitudes are symmetric under global bit flip for MaxCut
+  // (Z2 symmetry of the cost Hamiltonian and the mixer).
+  const std::size_t dim = rho.dim();
+  for (std::size_t i = 0; i < dim; ++i) {
+    EXPECT_NEAR(rho.element(i, i).real(),
+                rho.element(dim - 1 - i, dim - 1 - i).real(), 1e-9);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/topology.hpp"
 #include "obs/histogram.hpp"
@@ -256,26 +257,7 @@ ArchConfig base_config(bool faults) {
   return config;
 }
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-}
+using test_support::expect_identical;
 
 TEST(ObserveEngine, AttachingAnObserverNeverChangesResults) {
   // The core opt-in contract: full observation (metrics + profile + trace)

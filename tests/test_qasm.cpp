@@ -102,8 +102,47 @@ TEST(QasmImport, RejectsMalformedPrograms) {
   EXPECT_THROW(from_qasm(""), ConfigError);                    // no qreg
   EXPECT_THROW(from_qasm("qreg q[2];\ncx q[0];\n"), ConfigError);
   EXPECT_THROW(from_qasm("qreg q[2];\nrz q[0];\n"), ConfigError);
-  EXPECT_THROW(from_qasm("qreg q[2];\nh q[5];\n"), PreconditionError);
+  EXPECT_THROW(from_qasm("qreg q[2];\nh q[5];\n"), ConfigError);
   EXPECT_THROW(from_qasm("qreg q[2];\nqreg r[2];\n"), ConfigError);
+}
+
+/// The ConfigError message of parsing `text`, or "" when it parses.
+std::string parse_failure(const std::string& text) {
+  try {
+    from_qasm(text);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(QasmImport, RejectsNonFiniteAngles) {
+  for (const char* angle :
+       {"nan", "-nan", "inf", "-inf", "infinity", "pi/0", "2*pi/0"}) {
+    SCOPED_TRACE(angle);
+    const std::string err = parse_failure(
+        std::string("qreg q[2];\nh q[0];\nrz(") + angle + ") q[1];\n");
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("not finite"), std::string::npos) << err;
+  }
+  EXPECT_NE(parse_failure("qreg q[1];\nrx(inf) q[0];\n"), "");
+}
+
+TEST(QasmImport, RejectsOperandsOutsideTheRegister) {
+  for (const char* stmt : {"h q[-1];", "cx q[0], q[5];", "cx q[2], q[0];",
+                           "measure q[-3] -> c[0];", "x q[1x];"}) {
+    SCOPED_TRACE(stmt);
+    const std::string err =
+        parse_failure(std::string("qreg q[2];\nh q[0];\n") + stmt + "\n");
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  }
+  EXPECT_NE(parse_failure("qreg q[-2];\n"), "");
+}
+
+TEST(QasmImport, RejectsDuplicateOperands) {
+  const std::string err = parse_failure("qreg q[2];\ncx q[1], q[1];\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("duplicate operand"), std::string::npos) << err;
 }
 
 void expect_round_trip(const Circuit& original) {

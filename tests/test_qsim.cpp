@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -14,6 +15,24 @@ namespace dqcsim::qsim {
 namespace {
 
 constexpr double kTol = 1e-12;
+
+/// True when the N x N row-major matrix U satisfies U U^dag = I to kTol.
+template <std::size_t N>
+bool is_unitary(const std::array<Complex, N * N>& u) {
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t j = 0; j < N; ++j) {
+      Complex dot{0.0, 0.0};
+      for (std::size_t k = 0; k < N; ++k) {
+        dot += u[i * N + k] * std::conj(u[j * N + k]);
+      }
+      const Complex expected = i == j ? Complex{1.0, 0.0} : Complex{0.0, 0.0};
+      if (std::abs(dot - expected) > kTol) return false;
+    }
+  }
+  return true;
+}
+bool is_unitary(const Mat2& u) { return is_unitary<2>(u); }
+bool is_unitary(const Mat4& u) { return is_unitary<4>(u); }
 
 // ------------------------------------------------------------- matrices ----
 

@@ -551,7 +551,7 @@ TEST(PurificationRuntime, ConsumesTwoPairsAndDelaysStart) {
   ASSERT_EQ(r.purification_failures, 0u);
   EXPECT_EQ(r.purification_rounds, 1u);
   EXPECT_EQ(r.epr_consumed, 2u);
-  EXPECT_NEAR(r.depth, config.purification_latency + config.lat.remote_gate,
+  EXPECT_NEAR(r.depth, kPurificationLatency + config.lat.remote_gate,
               1e-9);
 }
 
