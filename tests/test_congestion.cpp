@@ -3,7 +3,7 @@
 /// capacity shares, star-hub throughput degradation under shared capacity,
 /// swap-as-you-go delivery on long chains, and thread-count bit-identity
 /// of the boundary re-planning under outages. The full knob cross product
-/// is covered by DegradedDeterminism in test_degraded.cpp.
+/// is covered by the generated combination loop in test_degraded.cpp.
 
 #include <gtest/gtest.h>
 

@@ -206,30 +206,31 @@ Scenario faulty_scenario() {
   return scn;
 }
 
-TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
-  // The full cross product of the opt-in engine knobs — share_edge_capacity
-  // x swap_as_you_go x salvage_pairs x {no budget, max_trial_sim_time 900}
-  // — under drift + outages, for every distributed design: each of the 16
-  // combinations must be bit-identical at every thread count.
+/// One half of the full cross product of the opt-in engine knobs —
+/// swap_as_you_go x salvage_pairs x {no budget, max_trial_sim_time 900} at
+/// the given share_edge_capacity — under drift + outages, for every
+/// distributed design: each combination must be bit-identical at every
+/// thread count. The two tests below cover both halves, 16 combinations.
+void expect_knob_combos_thread_count_invariant(bool share_edge_capacity) {
   const Circuit qc = four_node_circuit();
   const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
   constexpr int kRuns = 6;
   constexpr std::uint64_t kSeed = 1200;
 
-  for (unsigned combo = 0; combo < 16; ++combo) {
+  for (unsigned combo = 0; combo < 8; ++combo) {
     ArchConfig config;
     config.num_nodes = 4;
     config.set_topology(net::Topology::ring(4));
     config.set_scenario(faulty_scenario());
-    config.share_edge_capacity = (combo & 1u) != 0;
-    config.swap_as_you_go = (combo & 2u) != 0;
-    config.salvage_pairs = (combo & 4u) != 0;
-    if ((combo & 8u) != 0) config.max_trial_sim_time = 900.0;
+    config.share_edge_capacity = share_edge_capacity;
+    config.swap_as_you_go = (combo & 1u) != 0;
+    config.salvage_pairs = (combo & 2u) != 0;
+    if ((combo & 4u) != 0) config.max_trial_sim_time = 900.0;
     const std::string name =
         std::string("share=") + (config.share_edge_capacity ? "1" : "0") +
         " swap_go=" + (config.swap_as_you_go ? "1" : "0") +
         " salvage=" + (config.salvage_pairs ? "1" : "0") +
-        " budget=" + ((combo & 8u) != 0 ? "900" : "none");
+        " budget=" + ((combo & 4u) != 0 ? "900" : "none");
     for (const DesignKind design : distributed_designs()) {
       const AggregateResult serial =
           run_design(qc, nodes, config, design, kRuns, kSeed, /*threads=*/1);
@@ -242,6 +243,16 @@ TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
       }
     }
   }
+}
+
+TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
+  // Independent per-link capacity.
+  expect_knob_combos_thread_count_invariant(/*share_edge_capacity=*/false);
+}
+
+TEST(CongestionDeterminism, EveryKnobCombinationIsThreadCountInvariant) {
+  // Routes contend for shared per-edge capacity.
+  expect_knob_combos_thread_count_invariant(/*share_edge_capacity=*/true);
 }
 
 }  // namespace
