@@ -42,12 +42,13 @@ int main() {
       config.record_arrival_trace = false;  // Monte-Carlo sweep: no Fig. 3
       const double ideal = runtime::ideal_depth(qc, config);
       runtime::AggregateResult agg;
-      report.time_section(
+      bench::KernelResult& r = report.time_section(
           benchmark_name(id) + "/nodes=" + std::to_string(nodes),
           static_cast<std::size_t>(runs), [&] {
             agg = runtime::run_design(qc, part.assignment, config,
                                       runtime::DesignKind::AsyncBuf, runs);
           });
+      r.counters = {{"events_mean", agg.events.mean()}};
       table.add_row({benchmark_name(id), TablePrinter::fmt(nodes),
                      TablePrinter::fmt(placement.num_remote_2q),
                      TablePrinter::fmt(agg.depth.mean(), 1),

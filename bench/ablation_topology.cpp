@@ -78,13 +78,14 @@ int main() {
         const double ideal = runtime::ideal_depth(qc, config);
 
         runtime::AggregateResult agg;
-        report.time_section(benchmark_name(id) + "/" + name + "/nodes=" +
-                                std::to_string(nodes),
-                            static_cast<std::size_t>(runs), [&] {
-                              agg = runtime::run_design(
-                                  qc, part.assignment, config,
-                                  runtime::DesignKind::AsyncBuf, runs);
-                            });
+        bench::KernelResult& r = report.time_section(
+            benchmark_name(id) + "/" + name + "/nodes=" +
+                std::to_string(nodes),
+            static_cast<std::size_t>(runs), [&] {
+              agg = runtime::run_design(qc, part.assignment, config,
+                                        runtime::DesignKind::AsyncBuf, runs);
+            });
+        r.counters = {{"events_mean", agg.events.mean()}};
 
         table.add_row(
             {benchmark_name(id), name, TablePrinter::fmt(nodes),

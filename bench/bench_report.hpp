@@ -50,9 +50,11 @@ class BenchReport {
   void add(KernelResult result);
 
   /// Time one call of `fn` as a section named `name`; `items` scales the
-  /// items/s throughput (ns_per_op is per item when items > 0).
+  /// items/s throughput (ns_per_op is per item when items > 0). Returns the
+  /// recorded result so the caller can attach counters.
   template <typename F>
-  void time_section(const std::string& name, std::size_t items, F&& fn) {
+  KernelResult& time_section(const std::string& name, std::size_t items,
+                             F&& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
@@ -68,6 +70,7 @@ class BenchReport {
       r.ns_per_op = ns;
     }
     add(std::move(r));
+    return results_.back();
   }
 
   const std::vector<KernelResult>& results() const noexcept {

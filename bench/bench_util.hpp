@@ -27,6 +27,16 @@ inline int runs_from_env() {
   return kRuns;
 }
 
+/// Mean DES events per trial over `aggregates` (equal run counts each): the
+/// `events_mean` work counter every engine sweep cell reports.
+inline double events_mean(
+    const std::vector<runtime::AggregateResult>& aggregates) {
+  double sum = 0.0;
+  for (const auto& agg : aggregates) sum += agg.events.mean();
+  return aggregates.empty() ? 0.0
+                            : sum / static_cast<double>(aggregates.size());
+}
+
 /// Evaluate `designs` on one configuration through the batched matrix API:
 /// all design x seed cells share one thread pool, so the whole sweep runs
 /// at full machine width. Element i corresponds to designs[i].
@@ -48,9 +58,10 @@ inline std::vector<runtime::AggregateResult> run_designs_timed(
     const std::vector<int>& assignment, const runtime::ArchConfig& config,
     const std::vector<runtime::DesignKind>& designs, int runs = kRuns) {
   std::vector<runtime::AggregateResult> out;
-  report.time_section(
+  KernelResult& r = report.time_section(
       section, static_cast<std::size_t>(runs) * designs.size(),
       [&] { out = run_designs(qc, assignment, config, designs, runs); });
+  r.counters = {{"events_mean", events_mean(out)}};
   return out;
 }
 

@@ -38,12 +38,13 @@ int main() {
   }
   bench::BenchReport report("fig7_comm_sweep");
   std::vector<runtime::AggregateResult> aggregates;
-  report.time_section("fig7/comm_sweep_matrix",
-                      points.size() * static_cast<std::size_t>(bench::kRuns),
-                      [&] {
-                        aggregates = runtime::run_design_matrix(
-                            qc, part.assignment, points, bench::kRuns);
-                      });
+  bench::KernelResult& r = report.time_section(
+      "fig7/comm_sweep_matrix",
+      points.size() * static_cast<std::size_t>(bench::kRuns), [&] {
+        aggregates = runtime::run_design_matrix(qc, part.assignment, points,
+                                                bench::kRuns);
+      });
+  r.counters = {{"events_mean", bench::events_mean(aggregates)}};
 
   // Rows read (design, config) back from the points grid itself, so the
   // result pairing cannot drift from the order the matrix was built in.

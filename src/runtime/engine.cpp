@@ -325,6 +325,7 @@ struct RunContext::State {
     obs::Registry::Handle purification_failures = 0;
     obs::Registry::Handle pairs_salvaged = 0;
     obs::Registry::Handle pairs_discarded = 0;
+    obs::Registry::Handle events = 0;
     obs::Registry::Handle trace_dropped = 0;
     obs::Registry::Handle max_delivery_gap = 0;
     obs::Registry::Handle makespan_max = 0;
@@ -365,6 +366,7 @@ struct RunContext::State {
     regh.purification_failures = reg.counter("purification_failures");
     regh.pairs_salvaged = reg.counter("pairs_salvaged");
     regh.pairs_discarded = reg.counter("pairs_discarded");
+    regh.events = reg.counter("events");
     regh.trace_dropped = reg.counter("trace_dropped_events");
     regh.max_delivery_gap = reg.gauge("max_delivery_gap");
     regh.makespan_max = reg.gauge("makespan_max");
@@ -435,6 +437,7 @@ struct RunContext::State {
       reg.add(regh.purification_failures, result.purification_failures);
       reg.add(regh.pairs_salvaged, result.pairs_salvaged);
       reg.add(regh.pairs_discarded, result.pairs_discarded);
+      reg.add(regh.events, result.events);
       if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
       reg.gauge_max(regh.makespan_max, makespan);
       const auto note_gap = [&](const ent::GenerationService& svc) {
@@ -1682,6 +1685,7 @@ struct RunContext::State {
       result.avg_pair_age = pair_age_acc.mean();
       result.avg_remote_wait = remote_wait_acc.mean();
       result.avg_route_hops = route_hops_acc.mean();
+      result.events = sim.executed_events();
     }
     if (observe != nullptr) finish_observation();
     return result;

@@ -28,6 +28,7 @@ void AggregateResult::add(const RunResult& run) {
   pairs_salvaged.add(static_cast<double>(run.pairs_salvaged));
   pairs_discarded.add(static_cast<double>(run.pairs_discarded));
   truncated.add(run.truncated ? 1.0 : 0.0);
+  events.add(static_cast<double>(run.events));
 }
 
 }  // namespace dqcsim::runtime

@@ -90,6 +90,12 @@ struct RunResult {
   // Purification accounting (purify_on_consume only).
   std::size_t purification_rounds = 0;
   std::size_t purification_failures = 0;
+
+  /// Discrete events the trial's simulator dispatched
+  /// (des::Simulator::executed_events at trial end): the deterministic
+  /// work counter behind a trial's wall time. Aggregated as `events_mean`
+  /// in bench reports.
+  std::size_t events = 0;
 };
 
 /// Streaming aggregate over repeated runs (the paper averages 50).
@@ -121,6 +127,7 @@ struct AggregateResult {
   Accumulator pairs_discarded;
   /// Fraction of runs that hit the trial sim-time budget (mean of 0/1).
   Accumulator truncated;
+  Accumulator events;
 
   /// Fold one run into the aggregate.
   void add(const RunResult& run);

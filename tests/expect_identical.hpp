@@ -53,6 +53,7 @@ inline void expect_identical(const runtime::AggregateResult& a,
       {&AggregateResult::pairs_salvaged, "pairs_salvaged"},
       {&AggregateResult::pairs_discarded, "pairs_discarded"},
       {&AggregateResult::truncated, "truncated"},
+      {&AggregateResult::events, "events"},
   };
   // A new AggregateResult field must be added to the list above.
   static_assert(sizeof(AggregateResult) ==
