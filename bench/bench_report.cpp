@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "common/rng.hpp"
 
 namespace dqcsim::bench {
 
@@ -36,6 +37,7 @@ void BenchReport::write() const {
   JsonValue doc = JsonValue::object();
   doc.set("report", name_);
   doc.set("schema_version", std::int64_t{1});
+  doc.set("replay_format", std::int64_t{kReplayFormat});
   doc.set("kernels", std::move(kernels));
   doc.write_file(path());
   std::cout << "[bench_report] wrote " << path() << " ("

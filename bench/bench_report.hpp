@@ -8,6 +8,7 @@
 /// {
 ///   "report": "perf_micro",
 ///   "schema_version": 1,
+///   "replay_format": 1,
 ///   "kernels": [
 ///     {"name": "BM_SvApplyCircuitFused_QFT/16", "ns_per_op": 1234.5,
 ///      "items_per_s": 2.1e6, "iterations": 512, "label": ""}
@@ -15,6 +16,8 @@
 /// }
 /// \endcode
 ///
+/// `replay_format` is dqcsim::kReplayFormat, the version of the random
+/// draw stream every seeded counter depends on.
 /// `ns_per_op` is wall time per benchmark iteration; `items_per_s` is the
 /// bench's own throughput notion (gates/s, runs/s, ...; 0 when untracked).
 /// CI's bench-smoke job diffs these files against ci/bench_baseline.json

@@ -24,6 +24,20 @@ Usage:
     check_bench_regression.py CURRENT.json [MORE.json ...] BASELINE.json
                               [--threshold 1.25]
 
+Every report carries the simulator's replay format (dqcsim::kReplayFormat,
+bumped whenever the RNG draw stream changes on purpose). When a current
+report's format differs from the baseline's, the gate stops with one message:
+every simulation counter is expected to move, and the baseline must be
+re-pinned from a run of the new format.
+
+Two relations between sweep cells are checked on the current reports, so a
+re-pinned baseline must satisfy them too:
+
+* on every chain swap-as-you-go pair, "salvage=on" has a strictly lower
+  depth_mean than "salvage=off" (ablation_fault);
+* for every star route count k, "star8/routes=k/shared" has a depth_mean at
+  least that of "star8/routes=k/independent" (ablation_congestion).
+
 Multiple current reports are merged before comparison, so one baseline file
 can gate perf_micro micro-kernels and the smoke-run sweep sections of other
 benches together. A baseline kernel may carry a "gate_threshold" field to
@@ -38,12 +52,16 @@ import json
 import sys
 
 
-def load_kernels(path):
+def load_report(path):
+    """(kernels by name, replay format) of one report."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         sys.exit(f"{path}: unsupported schema_version "
                  f"{doc.get('schema_version') if isinstance(doc, dict) else doc!r}")
+    replay_format = doc.get("replay_format")
+    if not isinstance(replay_format, int) or isinstance(replay_format, bool):
+        sys.exit(f"{path}: missing or non-integer replay_format")
     kernels = doc.get("kernels")
     if not isinstance(kernels, list):
         sys.exit(f"{path}: 'kernels' is not a list")
@@ -52,7 +70,39 @@ def load_kernels(path):
         if not isinstance(k, dict) or not isinstance(k.get("name"), str):
             sys.exit(f"{path}: kernels[{i}] has no usable 'name' field")
         out[k["name"]] = k
-    return out
+    return out, replay_format
+
+
+def check_relations(current):
+    """Failures of the documented relations between sweep cells."""
+
+    def depth(name):
+        counters = current.get(name, {}).get("counters")
+        if not isinstance(counters, dict):
+            return None
+        return as_number(counters.get("depth_mean"))
+
+    failures = []
+    for name in sorted(current):
+        if "/chain/" in name and name.endswith("/swapgo/salvage=on"):
+            off_name = name[: -len("on")] + "off"
+            on, off = depth(name), depth(off_name)
+            if on is None or off is None:
+                failures.append(f"relation: {name} or {off_name} has no"
+                                " depth_mean")
+            elif not on < off:
+                failures.append(f"relation: {name} depth_mean {on!r} is not"
+                                f" below {off_name} {off!r}")
+        if name.startswith("star8/routes=") and name.endswith("/shared"):
+            indep_name = name[: -len("shared")] + "independent"
+            shared, indep = depth(name), depth(indep_name)
+            if shared is None or indep is None:
+                failures.append(f"relation: {name} or {indep_name} has no"
+                                " depth_mean")
+            elif not shared >= indep:
+                failures.append(f"relation: {name} depth_mean {shared!r} is"
+                                f" below {indep_name} {indep!r}")
+    return failures
 
 
 def as_number(value):
@@ -90,11 +140,21 @@ def main():
     args = parser.parse_args()
 
     current = {}
+    formats = {}
     for path in args.current:
-        current.update(load_kernels(path))
-    baseline = load_kernels(args.baseline)
+        kernels, replay_format = load_report(path)
+        current.update(kernels)
+        formats[path] = replay_format
+    baseline, base_format = load_report(args.baseline)
+    stale = {p: f for p, f in formats.items() if f != base_format}
+    if stale:
+        listed = ", ".join(f"{p} (format {f})" for p, f in sorted(stale.items()))
+        sys.exit(f"replay format mismatch: baseline {args.baseline} is format"
+                 f" {base_format}, but {listed}. The RNG draw stream changed,"
+                 " so every simulation counter moves; re-pin the baseline from"
+                 " a run of the new format instead of comparing counters.")
 
-    failures = []
+    failures = check_relations(current)
     rows = []
     for name, base in sorted(baseline.items()):
         base_ns = as_number(base.get("ns_per_op"))

@@ -3,7 +3,9 @@
 
 Runs the gate on small synthetic reports and asserts that simulation
 counters ("*_mean") are pinned exactly in both directions while
-allocs_per_op keeps its one-sided slack. Plain python3, no dependencies:
+allocs_per_op keeps its one-sided slack, that a replay-format mismatch
+fails with one message, and that each documented relation between sweep
+cells fails when violated. Plain python3, no dependencies:
 
     python3 ci/test_check_bench_regression.py
 """
@@ -25,22 +27,32 @@ BASE_COUNTERS = {
 }
 
 
-def report(counters):
+SALVAGE = "QAOA-r8-32/chain/nodes=8/mtbf=400/swapgo/salvage="
+STAR = "star8/routes=4/"
+
+
+def report(counters, replay_format=1, cells=None):
+    kernels = [{"name": "BM_Cell", "ns_per_op": 100.0, "counters": counters}]
+    for name, depth in (cells or {}).items():
+        kernels.append({"name": name, "ns_per_op": 100.0,
+                        "counters": {"depth_mean": depth}})
     return {
         "schema_version": 1,
+        "replay_format": replay_format,
         "report": "selftest",
-        "kernels": [{"name": "BM_Cell", "ns_per_op": 100.0,
-                     "counters": counters}],
+        "kernels": kernels,
     }
 
 
-def run_gate(tmp, counters):
+def run_gate(tmp, counters, replay_format=1, cells=None):
+    """Gate a current report against a baseline that holds BASE_COUNTERS
+    and the same relation cells (so only the relations can fail)."""
     base_path = os.path.join(tmp, "baseline.json")
     cur_path = os.path.join(tmp, "current.json")
     with open(base_path, "w") as f:
-        json.dump(report(BASE_COUNTERS), f)
+        json.dump(report(BASE_COUNTERS, 1, cells), f)
     with open(cur_path, "w") as f:
-        json.dump(report(counters), f)
+        json.dump(report(counters, replay_format, cells), f)
     proc = subprocess.run([sys.executable, SCRIPT, cur_path, base_path],
                           capture_output=True, text=True)
     return proc.returncode, proc.stderr
@@ -78,6 +90,30 @@ def main():
         over["allocs_per_op"] = 1.0
         code, err = run_gate(tmp, over)
         assert code == 1 and "allocs_per_op" in err, err
+
+        # A report of another replay format fails once, before any counter
+        # is compared (every *_mean would differ under a new draw stream).
+        moved = dict(BASE_COUNTERS)
+        moved["depth_mean"] = 2048.0
+        code, err = run_gate(tmp, moved, replay_format=2)
+        assert code == 1, "a replay-format mismatch must fail"
+        assert "replay format mismatch" in err, err
+        assert "depth_mean" not in err, err
+
+        ok_cells = {SALVAGE + "off": 900.0, SALVAGE + "on": 500.0,
+                    STAR + "independent": 120.0, STAR + "shared": 120.0}
+        code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=ok_cells)
+        assert code == 0, f"relations that hold must pass:\n{err}"
+
+        salvage_tie = dict(ok_cells)
+        salvage_tie[SALVAGE + "on"] = 900.0   # not strictly below off
+        code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=salvage_tie)
+        assert code == 1 and "salvage=on depth_mean" in err, err
+
+        shared_faster = dict(ok_cells)
+        shared_faster[STAR + "shared"] = 119.0  # below independent
+        code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=shared_faster)
+        assert code == 1 and "routes=4/shared depth_mean" in err, err
 
     print("check_bench_regression self-test: ok")
 

@@ -14,6 +14,13 @@
 
 namespace dqcsim {
 
+/// Version of the simulator's random draw stream. Every seeded result
+/// (depths, fidelities, counters) is a function of the seed *and* of this
+/// format; it is bumped whenever the stream changes on purpose, and bench
+/// reports record it so a baseline of another format is refused as a whole
+/// instead of counter by counter.
+inline constexpr int kReplayFormat = 1;
+
 /// Deterministic 64-bit PRNG (xoshiro256**) with convenience distributions.
 ///
 /// Satisfies the C++ UniformRandomBitGenerator concept, so it can also be
