@@ -18,8 +18,43 @@ namespace dqcsim {
 /// (depths, fidelities, counters) is a function of the seed *and* of this
 /// format; it is bumped whenever the stream changes on purpose, and bench
 /// reports record it so a baseline of another format is refused as a whole
-/// instead of counter by counter.
-inline constexpr int kReplayFormat = 1;
+/// instead of counter by counter. Format 1 drew one Bernoulli per
+/// generation attempt window from the trial's stream; format 2 draws one
+/// key per generation service and derives each window's outcome from it
+/// (KeyedStream), so a window's outcome no longer depends on how many
+/// windows the simulator visited before it.
+inline constexpr int kReplayFormat = 2;
+
+/// splitmix64 finalizer: a bijective 64-bit mix (Steele, Lea & Flood 2014).
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// Counter-based uniform draws: value `index` of stream `stream` under a
+/// 64-bit `key`, computable in any order and any number of times. This is
+/// splitmix64 run in counter mode from a per-stream seed, so one stream's
+/// draws are as independent as consecutive splitmix64 outputs, and distinct
+/// streams start from unrelated seeds. Entanglement generation keys window
+/// k of comm pair p as uniform(k) of stream p (replay format 2).
+class KeyedStream {
+ public:
+  KeyedStream() = default;
+  KeyedStream(std::uint64_t key, std::uint64_t stream) noexcept
+      : seed_(mix64(key ^ mix64(stream))) {}
+
+  /// Uniform double in [0, 1) with 53 random bits.
+  double uniform(std::uint64_t index) const noexcept {
+    return static_cast<double>(mix64(seed_ + index * kGamma) >> 11) *
+           0x1.0p-53;
+  }
+
+ private:
+  static constexpr std::uint64_t kGamma = 0xD1B54A32D192ED03ULL;
+  std::uint64_t seed_ = 0;
+};
 
 /// Deterministic 64-bit PRNG (xoshiro256**) with convenience distributions.
 ///

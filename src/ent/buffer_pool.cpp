@@ -42,6 +42,11 @@ void BufferPool::expire_until(des::SimTime now) {
   }
 }
 
+des::SimTime BufferPool::oldest_deposit() const {
+  DQCSIM_EXPECTS(count_ > 0);
+  return ring_[head_].deposited;
+}
+
 std::size_t BufferPool::size(des::SimTime now) {
   expire_until(now);
   return count_;

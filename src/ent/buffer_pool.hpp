@@ -66,6 +66,10 @@ class BufferPool {
   /// Pairs stored ignoring the cutoff (cheap, const).
   std::size_t raw_size() const noexcept { return count_; }
 
+  /// Deposit time of the oldest stored pair, ignoring the cutoff.
+  /// Precondition: raw_size() > 0.
+  des::SimTime oldest_deposit() const;
+
   bool full(des::SimTime now) { return size(now) >= capacity_; }
   bool empty(des::SimTime now) { return size(now) == 0; }
 

@@ -1,6 +1,8 @@
 #include "ent/generation_service.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -22,9 +24,9 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   params_ = params;
   params_.validate();
   mode_ = mode;
-  // Invalidate any attempt/deposit events still scheduled on the simulator
-  // from the previous run (harmless when the caller resets the simulator
-  // too, as the trial loop does).
+  // Invalidate any events still scheduled on the simulator from the
+  // previous run (harmless when the caller resets the simulator too, as the
+  // trial loop does).
   ++epoch_;
   buffer_.configure(params.buffer_capacity, params.f0, params.kappa,
                     params.cutoff);
@@ -35,6 +37,9 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   obs_track_ = 0;
   started_ = false;
   running_ = false;
+  cursor_ = Window{};
+  chain_active_ = false;
+  parked_ = false;
   attempts_ = 0;
   successes_ = 0;
   wasted_buffer_full_ = 0;
@@ -59,16 +64,52 @@ void GenerationService::start() {
   running_ = true;
   // Entanglement generation is a continuously running background service
   // (paper §III-B), so attempt windows are already in steady state when the
-  // circuit starts: pair p's completions fall on offset(p) + k*cycle, and
-  // the first one after t=now is scheduled (a zero offset completes after a
-  // full cycle). Results are only *stored* from start() on, which keeps the
-  // buffered designs distinct from init_buf's pre-filled buffer.
-  last_success_ = sim_.now();
+  // circuit starts: a zero offset completes after a full cycle. Results are
+  // only *stored* from start() on, which keeps the buffered designs
+  // distinct from init_buf's pre-filled buffer.
+  start_time_ = sim_.now();
+  last_success_ = start_time_;
+  const std::uint64_t key = rng_();
+
+  // Slots: pairs sorted by first completion (stable in the pair index), so
+  // walking (round, slot) visits windows in time order. Insertion sort: the
+  // pair count is small and this must not allocate on a same-size reset.
+  const auto pairs = static_cast<std::size_t>(params_.num_comm_pairs);
+  first_.resize(pairs);
+  streams_.resize(pairs);
+  std::size_t filled = 0;
   for (int p = 0; p < params_.num_comm_pairs; ++p) {
     const double offset = offset_of(p);
-    const double first = (offset > 0.0) ? offset : params_.cycle_time;
-    schedule_completion(p, sim_.now() + first);
+    const double first = offset > 0.0 ? offset : params_.cycle_time;
+    std::size_t at = filled;
+    while (at > 0 && first_[at - 1] > first) {
+      first_[at] = first_[at - 1];
+      streams_[at] = streams_[at - 1];
+      --at;
+    }
+    first_[at] = first;
+    streams_[at] = KeyedStream(key, static_cast<std::uint64_t>(p));
+    ++filled;
   }
+  cursor_ = Window{};
+
+  if (mode_ == ServiceMode::Buffered && buffer_.full(sim_.now())) park();
+  if (!parked_) scan();
+}
+
+void GenerationService::stop() {
+  if (!running_) return;
+  retire_chain(/*keep_offers=*/false);
+  settle_through(sim_.now(), /*stopping=*/true);
+  if (parked_) {
+    parked_ = false;
+    ++wake_ticket_;
+    if (obs_trace_ != nullptr) {
+      obs_trace_->span_counts(obs::Ev::Park, obs_track_, parked_since_,
+                              sim_.now(), park_windows_, park_successes_);
+    }
+  }
+  running_ = false;
 }
 
 void GenerationService::pre_fill_buffer() {
@@ -80,70 +121,343 @@ void GenerationService::pre_fill_buffer() {
   while (!buffer_.full(sim_.now())) {
     buffer_.deposit(sim_.now(), f0);
   }
+  if (running_ && !parked_) park();
 }
 
-void GenerationService::schedule_completion(int pair_index,
-                                            des::SimTime completion) {
-  sim_.schedule_at(completion, [this, pair_index, epoch = epoch_] {
-    if (epoch == epoch_) on_window_complete(pair_index);
+void GenerationService::resync() {
+  if (!running_) return;
+  retire_chain(/*keep_offers=*/true);
+  settle_through(sim_.now(), /*stopping=*/false);
+  if (parked_) return;
+  // Re-read later windows from an event at this instant: it runs after the
+  // caller has changed what the provider reports.
+  chain_active_ = true;
+  chain_end_ = cursor_;
+  run_windows_ = 0;
+  run_attempts_ = 0;
+  batch_ = 0;
+  run_t0_ = run_t1_ = sim_.now();
+  schedule_run_event(sim_.now(), sim_.now(), 0, 0.0);
+}
+
+std::optional<BufferedPair> GenerationService::take(ConsumeOrder order) {
+  const des::SimTime now = sim_.now();
+  // Parked deposits before now found the pool full; settle them before the
+  // pop frees a slot (the pop precedes parked deposits landing at now).
+  if (parked_ && !chain_active_ && running_) settle_through(now, false);
+  std::optional<BufferedPair> pair = buffer_.pop(now, order);
+  if (pair && parked_) unpark();
+  return pair;
+}
+
+std::size_t GenerationService::flush() {
+  const des::SimTime now = sim_.now();
+  if (parked_ && !chain_active_ && running_) settle_through(now, false);
+  const std::size_t dropped = buffer_.flush(now);
+  if (parked_) unpark();
+  return dropped;
+}
+
+// DQCSIM_HOT
+template <bool kProvider>
+GenerationService::Outcome GenerationService::evaluate(const Window& w,
+                                                       double t) const {
+  if constexpr (kProvider) {
+    const EffectiveLink eff = provider_(t);
+    return {eff.up, eff.up && streams_[w.slot].uniform(w.round) < eff.p_succ,
+            eff.f0, eff.stable_until};
+  } else {
+    return {true, streams_[w.slot].uniform(w.round) < params_.p_succ,
+            params_.f0, 0.0};
+  }
+}
+
+GenerationService::Tally GenerationService::tally() const {
+  if (!running_) {
+    return {attempts_, successes_, wasted_buffer_full_, last_success_,
+            max_delivery_gap_};
+  }
+  return provider_ ? tally_from_cursor<true>() : tally_from_cursor<false>();
+}
+
+template <bool kProvider>
+GenerationService::Tally GenerationService::tally_from_cursor() const {
+  Tally out{attempts_, successes_, wasted_buffer_full_, last_success_,
+            max_delivery_gap_};
+  const des::SimTime now = sim_.now();
+  // Parked deposits are wasted once strictly in the past (a wake at now
+  // would still replay one landing at now).
+  const bool parked_region =
+      parked_ && !chain_active_ && mode_ == ServiceMode::Buffered;
+  Window w = cursor_;
+  for (double t = time_of(w); t <= now; advance(w), t = time_of(w)) {
+    const Outcome o = evaluate<kProvider>(w, t);
+    if (!o.up) continue;
+    ++out.attempts;
+    if (!o.success) continue;
+    ++out.successes;
+    out.max_gap = std::max(out.max_gap, t - out.last_success);
+    out.last_success = t;
+    if (parked_region && t + params_.swap_latency < now) ++out.wasted;
+  }
+  return out;
+}
+
+void GenerationService::scan() {
+  if (provider_) {
+    scan_windows<true>();
+  } else {
+    scan_windows<false>();
+  }
+}
+
+// DQCSIM_HOT
+template <bool kProvider>
+void GenerationService::scan_windows() {
+  // Walk windows from the cursor until the first success instant has been
+  // covered completely, or for one chunk (and at least up to now); either
+  // way one event settles the run. Failed windows only bump a counter.
+  const des::SimTime now = sim_.now();
+  Window w = cursor_;
+  std::size_t windows = 0;
+  std::size_t attempts = 0;
+  std::uint32_t batch = 0;
+  double batch_t = 0.0;
+  double batch_f0 = 0.0;
+  constexpr std::size_t chunk = kProvider ? kProviderScanChunk : kScanChunk;
+  double horizon = std::numeric_limits<double>::infinity();
+  double t = time_of(w);
+  run_t0_ = t;
+  run_t1_ = now;
+  for (; windows < chunk || t <= now; ++windows, advance(w), t = time_of(w)) {
+    if (batch > 0 && t != batch_t) break;
+    if (t > horizon) break;
+    const Outcome o = evaluate<kProvider>(w, t);
+    if constexpr (kProvider) {
+      // Stop where the provider's answers stop being final; the answer
+      // for this window is dropped and re-read later.
+      horizon = o.stable_until;
+      if (t > horizon) break;
+    }
+    if (o.success) {
+      if (batch == 0) {
+        batch_t = t;
+        batch_f0 = o.f0;
+      }
+      ++batch;
+    } else if (o.up) {
+      ++attempts;
+    }
+    run_t1_ = t;
+  }
+  chain_active_ = true;
+  chain_end_ = w;
+  run_windows_ = windows;
+  run_attempts_ = attempts;
+  batch_ = batch;
+  batch_time_ = batch_t;
+  if (batch == 0) {
+    // Chunk without a success: continue from its last window's instant, or
+    // from the provider's horizon when the scan stopped there.
+    const double at = t > horizon ? horizon : run_t1_;
+    schedule_run_event(std::max(at, now), run_t1_, 0, 0.0);
+  } else {
+    const double at = mode_ == ServiceMode::Buffered
+                          ? batch_t + params_.swap_latency
+                          : batch_t;
+    schedule_run_event(at, batch_t, batch, batch_f0);
+  }
+}
+
+void GenerationService::schedule_run_event(double at, double t,
+                                           std::uint32_t n, double f0) {
+  const std::uint32_t ticket = ++ticket_;
+  chain_event_ = sim_.schedule_at(
+      at, [this, epoch = epoch_, ticket, n, t, f0] {
+        if (epoch == epoch_) on_run_event(ticket, t, n, f0);
+      });
+}
+
+void GenerationService::on_run_event(std::uint32_t ticket, double t,
+                                     std::uint32_t n, double f0) {
+  // A retired or replayed run's event only delivers its successes; the
+  // chain's own event also settles the run and extends the chain.
+  const bool owner = chain_active_ && ticket == ticket_;
+  if (owner) settle_run();
+  if (n > 0) {
+    if (mode_ == ServiceMode::Buffered) {
+      land(n, f0);
+    } else {
+      offer(t, n);
+    }
+  }
+  // A handler may already have restarted the chain (waking a parked
+  // service) or stopped the service.
+  if (owner && running_ && !parked_ && !chain_active_) scan();
+}
+
+void GenerationService::settle_run() {
+  attempts_ += run_attempts_ + batch_;
+  successes_ += batch_;
+  if (batch_ > 0) record_success(batch_time_);
+  if (obs_trace_ != nullptr && run_windows_ > 0) {
+    obs_trace_->span_counts(obs::Ev::Skip, obs_track_, run_t0_, run_t1_,
+                            run_windows_, batch_);
+  }
+  cursor_ = chain_end_;
+  chain_active_ = false;
+}
+
+void GenerationService::retire_chain(bool keep_offers) {
+  if (!chain_active_) return;
+  if (batch_ == 0 && run_t1_ <= sim_.now()) {
+    // Every window of the run has completed: settle it from its counts.
+    sim_.cancel(chain_event_);
+    settle_run();
+    return;
+  }
+  if (batch_ > 0 && batch_time_ <= sim_.now()) {
+    // The run's successes already happened: settle it, and let its event
+    // deliver them (no longer as the chain's owner).
+    settle_run();
+    if (mode_ == ServiceMode::OnDemand && !keep_offers) {
+      sim_.cancel(chain_event_);
+      wasted_unconsumed_ += batch_;
+    }
+    return;
+  }
+  // Nothing of the run has happened yet: forget it; settle_through
+  // re-reads its windows.
+  sim_.cancel(chain_event_);
+  chain_active_ = false;
+}
+
+void GenerationService::settle_through(double until, bool stopping) {
+  DQCSIM_ENSURES(!chain_active_);
+  if (provider_) {
+    settle_windows<true>(until, stopping);
+  } else {
+    settle_windows<false>(until, stopping);
+  }
+}
+
+template <bool kProvider>
+void GenerationService::settle_windows(double until, bool stopping) {
+  std::uint32_t pending = 0;  // replayed successes at pending_t
+  double pending_t = 0.0;
+  double pending_f0 = 0.0;
+  Window w = cursor_;
+  for (double t = time_of(w); t <= until; advance(w), t = time_of(w)) {
+    const Outcome o = evaluate<kProvider>(w, t);
+    if (parked_) ++park_windows_;
+    if (!o.up) continue;
+    ++attempts_;
+    if (!o.success) continue;
+    ++successes_;
+    record_success(t);
+    if (parked_) ++park_successes_;
+    if (mode_ == ServiceMode::Buffered &&
+        t + params_.swap_latency < until) {
+      // Only a parked service leaves deposits behind the clock, and its
+      // pool was full at every one of them.
+      const bool stored = buffer_.deposit(t + params_.swap_latency, o.f0);
+      DQCSIM_ENSURES(!stored);
+      ++wasted_buffer_full_;
+      continue;
+    }
+    if (mode_ == ServiceMode::OnDemand && stopping) {
+      ++wasted_unconsumed_;
+      continue;
+    }
+    if (pending > 0 && t != pending_t) {
+      schedule_replay(pending_t, pending, pending_f0);
+      pending = 0;
+    }
+    if (pending == 0) {
+      pending_t = t;
+      pending_f0 = o.f0;
+    }
+    ++pending;
+  }
+  if (pending > 0) schedule_replay(pending_t, pending, pending_f0);
+  cursor_ = w;
+}
+
+void GenerationService::schedule_replay(double t, std::uint32_t n,
+                                        double f0) {
+  const double at =
+      mode_ == ServiceMode::Buffered ? t + params_.swap_latency : t;
+  sim_.schedule_at(at, [this, epoch = epoch_, t, n, f0] {
+    if (epoch == epoch_) on_run_event(0, t, n, f0);
   });
 }
 
 // DQCSIM_HOT
-void GenerationService::on_window_complete(int pair_index) {
-  if (!running_) return;
-  const des::SimTime now = sim_.now();
-
-  // Under an active scenario, re-read the effective link parameters at this
-  // window boundary. A down link pauses attempting — no attempt counted, no
-  // RNG draw — but the completion chain stays on the phase grid, so
-  // generation resumes in phase on recovery. Without a provider this path
-  // is identical to the stationary service.
-  double p_succ = params_.p_succ;
-  double birth_f0 = params_.f0;
-  bool up = true;
-  if (provider_) {
-    const EffectiveLink eff = provider_(now);
-    p_succ = eff.p_succ;
-    birth_f0 = eff.f0;
-    up = eff.up;
-  }
-
-  if (up) {
-    ++attempts_;
-    const bool success = rng_.bernoulli(p_succ);
-    if (obs_trace_ != nullptr) {
-      obs_trace_->span(success ? obs::Ev::GenOk : obs::Ev::GenFail, obs_track_,
-                       now - params_.cycle_time, now);
-    }
-    if (success) {
-      ++successes_;
-      record_success(now);
-      if (mode_ == ServiceMode::Buffered) {
-        // SWAP into the buffer; availability is delayed by the SWAP latency.
-        sim_.schedule_in(params_.swap_latency,
-                         [this, birth_f0, epoch = epoch_] {
-                           if (epoch != epoch_) return;
-                           const des::SimTime at = sim_.now();
-                           if (buffer_.deposit(at, birth_f0)) {
-                             if (obs_trace_ != nullptr) {
-                               obs_trace_->instant(obs::Ev::Deposit,
-                                                   obs_track_, at);
-                             }
-                             if (params_.record_trace) trace_.record(at);
-                             if (handler_) handler_(at);
-                           } else {
-                             ++wasted_buffer_full_;
-                           }
-                         });
-      } else {
-        if (params_.record_trace) trace_.record(now);
-        const bool consumed = handler_ ? handler_(now) : false;
-        if (!consumed) ++wasted_unconsumed_;
+void GenerationService::land(std::uint32_t n, double f0) {
+  const des::SimTime at = sim_.now();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (buffer_.deposit(at, f0)) {
+      if (obs_trace_ != nullptr) {
+        obs_trace_->instant(obs::Ev::Deposit, obs_track_, at);
       }
+      if (params_.record_trace) trace_.record(at);
+      if (handler_) handler_(at);
+    } else {
+      ++wasted_buffer_full_;
     }
   }
-  schedule_completion(pair_index, now + params_.cycle_time);
+  if (running_ && !parked_ && buffer_.full(at)) park();
+}
+
+void GenerationService::offer(double t, std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!running_) {
+      // Stopped by the handler mid-instant: the rest are never offered.
+      wasted_unconsumed_ += n - i;
+      return;
+    }
+    if (params_.record_trace) trace_.record(t);
+    const bool consumed = handler_ ? handler_(t) : false;
+    if (!consumed) ++wasted_unconsumed_;
+  }
+}
+
+void GenerationService::park() {
+  const des::SimTime now = sim_.now();
+  double wake = std::numeric_limits<double>::infinity();
+  if (std::isfinite(params_.cutoff) && buffer_.raw_size() > 0) {
+    // The oldest pair expires at any instant x with x - oldest > cutoff
+    // (BufferPool's rule), so the pool stays full through the largest
+    // `wake` with wake - oldest <= cutoff; wake there.
+    const double oldest = buffer_.oldest_deposit();
+    wake = oldest + params_.cutoff;
+    while (wake - oldest > params_.cutoff) {
+      wake = std::nextafter(wake, -std::numeric_limits<double>::infinity());
+    }
+    if (wake <= now) return;  // a slot frees right after now: keep going
+  }
+  parked_ = true;
+  parked_since_ = now;
+  park_windows_ = 0;
+  park_successes_ = 0;
+  const std::uint32_t ticket = ++wake_ticket_;
+  if (std::isfinite(wake)) {
+    sim_.schedule_at(wake, [this, epoch = epoch_, ticket] {
+      if (epoch != epoch_ || ticket != wake_ticket_ || !parked_) return;
+      if (!chain_active_ && running_) settle_through(sim_.now(), false);
+      unpark();
+    });
+  }
+}
+
+void GenerationService::unpark() {
+  parked_ = false;
+  ++wake_ticket_;
+  if (obs_trace_ != nullptr) {
+    obs_trace_->span_counts(obs::Ev::Park, obs_track_, parked_since_,
+                            sim_.now(), park_windows_, park_successes_);
+  }
+  if (running_ && !chain_active_) scan();
 }
 
 }  // namespace dqcsim::ent

@@ -17,6 +17,64 @@
 ///    only at its heralding instant. The arrival handler may consume it by
 ///    returning true; otherwise the pair is wasted, reproducing the
 ///    "significant EPR pair waste" of the no-buffer design (§V-A).
+///
+/// Window outcomes (replay format 2)
+/// ---------------------------------
+/// Window k (k = 0, 1, ...) of comm pair p completes at
+///
+///     t(p, k) = t_start + (first(p) + k * cycle_time),
+///
+/// with first(p) = offset_of(p) when positive, else cycle_time, and t_start
+/// the simulation time of start(). The window is an attempt iff the
+/// effective provider (if any) reports the link up at t(p, k); it is a
+/// success iff it is an attempt and u(p, k) < p_succ(t(p, k)), where
+/// u(p, k) = KeyedStream(key, p).uniform(k) and `key` is the one draw
+/// start() takes from the service's Rng. A success deposits at
+/// t(p, k) + swap_latency (Buffered) or is offered to the handler at
+/// t(p, k) (OnDemand); pairs completing at one instant deposit / are
+/// offered in ascending pair-index order.
+///
+/// Every outcome is fixed by its window, so the service is free to choose
+/// which windows cost a simulator event; the results do not depend on it:
+///
+///  - Scan-ahead: the service walks windows in time order (ties: ascending
+///    first(p), then p) in chunks of at most kScanChunk windows
+///    (kProviderScanChunk under a provider, and never past the provider's
+///    stable_until) and schedules one event per success instant, or one
+///    continuation event per chunk without a success. Failed windows cost
+///    no event.
+///  - Park: a Buffered service whose pool is full schedules nothing until
+///    take() or flush() frees a slot, or the oldest pair's cutoff expiry
+///    would. On that wake at time W, parked successes whose deposit falls
+///    before W are wasted (the pool was full), and those depositing at or
+///    after W are replayed as deposit events.
+///
+/// Semantics fixed by these rules:
+///
+///  - Counters are exact at sim.now(): attempts(), successes(),
+///    wasted_buffer_full() and max_delivery_gap() count every window that
+///    completed at or before now, whether or not an event ran for it
+///    (wasted_buffer_full counts a deposit once its instant has passed, a
+///    parked one once it is strictly in the past). The pool's own
+///    total_rejected() sees a parked deposit only when the service settles
+///    it, at the wake or at stop().
+///  - stop() at time T: every window completing at or before T counts as an
+///    attempt; no later window ever does. An OnDemand success at T not yet
+///    offered counts as unconsumed and is never offered; Buffered successes
+///    at or before T still deposit at their own instant if the simulator
+///    keeps running.
+///  - A deposit and a pop at the same instant: a deposit is a simulator
+///    event, so it precedes a pop at its instant iff it was scheduled first
+///    (the simulator's FIFO tie-break). The service fixes one case itself:
+///    a pop that wakes a parked service at W precedes every parked deposit
+///    landing at W.
+///  - Pops and flushes go through take() and flush(); popping buffer()
+///    directly does not wake a parked service, which then misses the slot.
+///  - The provider is read ahead of the clock (up to one chunk, never past
+///    its stable_until) and, while parked, for windows since the park. Its
+///    answer for a time t must not change once given, except through
+///    resync(), which the provider's owner calls before changing what the
+///    provider will report.
 
 #pragma once
 
@@ -24,6 +82,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
@@ -47,13 +108,18 @@ struct EffectiveLink {
   double p_succ = 1.0;  ///< per-attempt success probability right now
   double f0 = 0.99;     ///< fidelity a pair born right now would have
   bool up = true;       ///< false while any hop of the route is down
+  /// The provider's answers are final for every time up to this instant
+  /// (its owner will not resync() before then). A scan stops at it and
+  /// resumes from an event at that instant, so the owner's own event there
+  /// (scheduled earlier) runs first.
+  des::SimTime stable_until = std::numeric_limits<double>::infinity();
 };
 
-/// Queried by the service at every attempt-window boundary (and at
-/// pre-fill). Absent provider == stationary fabric.
+/// Queried by the service for every attempt window (and at pre-fill).
+/// Absent provider == stationary fabric.
 using EffectiveProvider = std::function<EffectiveLink(des::SimTime)>;
 
-/// Event-driven generation service over one inter-node link.
+/// Event-sparse generation service over one inter-node link.
 class GenerationService {
  public:
   /// Called on pair availability. In OnDemand mode the return value
@@ -61,8 +127,15 @@ class GenerationService {
   /// in Buffered mode it is ignored (the pair is already in the buffer).
   using ArrivalHandler = std::function<bool(des::SimTime)>;
 
-  /// The service schedules its events on `sim` and draws from `rng`; both
-  /// must outlive the service. `params` is validated on construction.
+  /// Windows evaluated per scan before a continuation event is scheduled
+  /// on a stationary fabric, and under an effective provider (whose reads
+  /// cost more): bounds the work spent ahead of the clock.
+  static constexpr std::size_t kScanChunk = 1024;
+  static constexpr std::size_t kProviderScanChunk = 256;
+
+  /// The service schedules its events on `sim` and draws its window key
+  /// from `rng`; both must outlive the service. `params` is validated on
+  /// construction.
   GenerationService(des::Simulator& sim, const LinkParams& params, Rng& rng,
                     ServiceMode mode);
 
@@ -72,13 +145,13 @@ class GenerationService {
   /// reset (the Monte-Carlo trial loop) performs no allocation.
   void reset(const LinkParams& params, ServiceMode mode);
 
-  /// Begin attempting: the first window of pair p completes at
-  /// offset(p) + cycle_time. Idempotent once started.
+  /// Begin attempting: draw the window key and schedule the first scan
+  /// (see the file comment for the window grid). Idempotent once started.
   void start();
 
-  /// Stop scheduling further attempt windows (already-scheduled completions
-  /// still fire but do nothing).
-  void stop() noexcept { running_ = false; }
+  /// Stop generating at the current time (see the file comment for which
+  /// windows count). Already-scheduled deposits still land.
+  void stop();
 
   /// Fill the buffer to capacity with fresh pairs at the current simulation
   /// time (the paper's init_buf pre-initialization).
@@ -90,25 +163,40 @@ class GenerationService {
   }
 
   /// Install a time-varying effective-parameter source (see
-  /// EffectiveProvider). The provider is re-read at every attempt-window
-  /// completion: drift takes effect at the next window boundary, and a
-  /// down link pauses attempting (no attempt counted, no RNG draw) while
-  /// the completion chain stays on the phase grid, so generation resumes
-  /// in phase on recovery. Cleared by reset().
+  /// EffectiveProvider). It is read once per attempt window: drift takes
+  /// effect window by window, and a down link pauses attempting (no attempt
+  /// counted) while the windows stay on the phase grid, so generation
+  /// resumes in phase on recovery. Cleared by reset().
   void set_effective_provider(EffectiveProvider provider) {
     provider_ = std::move(provider);
   }
 
-  /// Trial-trace hook (see src/obs/): when set, attempt-window outcomes
-  /// are recorded as gen_ok/gen_fail spans and buffer deposits as instants
-  /// on track `track` of `sink`. Pure observation — no RNG draw, no
-  /// scheduled event, no parameter change — and cleared by reset(), so the
-  /// engine re-arms it for each traced trial only.
+  /// The provider is about to report differently for times after now:
+  /// settle every window up to now under its current answers, then re-read
+  /// later windows after the current event. No-op unless running.
+  void resync();
+
+  /// Trial-trace hook (see src/obs/): when set, runs of windows the service
+  /// evaluated without per-window events are recorded as `skip` spans,
+  /// parked intervals as `park` spans (both carrying window and success
+  /// counts) and buffer deposits as instants on track `track` of `sink`.
+  /// Pure observation — no RNG draw, no scheduled event, no parameter
+  /// change — and cleared by reset(), so the engine re-arms it for each
+  /// traced trial only.
   void set_trial_trace(obs::TraceBuffer* sink, std::uint32_t track) noexcept {
     obs_trace_ = sink;
     obs_track_ = track;
   }
 
+  /// Consume one buffered pair now (see BufferPool::pop). A pop that frees
+  /// a slot of a parked service wakes it.
+  std::optional<BufferedPair> take(ConsumeOrder order);
+
+  /// Drop every buffered pair now (see BufferPool::flush), waking a parked
+  /// service. Returns how many were dropped.
+  std::size_t flush();
+
+  /// Read access to the pool. Pop and flush through take() and flush().
   BufferPool& buffer() noexcept { return buffer_; }
   const BufferPool& buffer() const noexcept { return buffer_; }
   const ArrivalTrace& trace() const noexcept { return trace_; }
@@ -118,29 +206,82 @@ class GenerationService {
   /// Phase offset of pair p's attempt windows.
   double offset_of(int pair_index) const;
 
-  // Lifetime counters.
-  std::size_t attempts() const noexcept { return attempts_; }
-  std::size_t successes() const noexcept { return successes_; }
+  // Lifetime counters, exact at sim.now() (see the file comment).
+  std::size_t attempts() const { return tally().attempts; }
+  std::size_t successes() const { return tally().successes; }
   /// Buffered-mode successes dropped because the pool was full.
-  std::size_t wasted_buffer_full() const noexcept {
-    return wasted_buffer_full_;
-  }
+  std::size_t wasted_buffer_full() const { return tally().wasted; }
   /// OnDemand-mode successes with no consumer at the heralding instant.
   std::size_t wasted_unconsumed() const noexcept { return wasted_unconsumed_; }
 
   /// Longest gap between consecutive successful generations so far,
   /// extended to `now` for the open interval since the last success (the
   /// pre-success interval starts at start()). Feeds the obs registry's
-  /// max_delivery_gap gauge. Always tracked — it costs two compares per
-  /// success and never touches the RNG stream.
-  double max_delivery_gap(des::SimTime now) const noexcept {
+  /// max_delivery_gap gauge. Always tracked — it never touches the RNG
+  /// stream.
+  double max_delivery_gap(des::SimTime now) const {
     if (!started_) return 0.0;
-    return std::max(max_delivery_gap_, now - last_success_);
+    const Tally t = tally();
+    return std::max(t.max_gap, now - t.last_success);
   }
 
  private:
-  void schedule_completion(int pair_index, des::SimTime completion);
-  void on_window_complete(int pair_index);
+  /// One attempt window: round k of the pair in `slot` (slots order the
+  /// pairs by first completion, so (round, slot) order is time order).
+  struct Window {
+    std::uint64_t round = 0;
+    std::uint32_t slot = 0;
+  };
+  struct Outcome {
+    bool up = false;
+    bool success = false;
+    double f0 = 0.0;
+    double stable_until = 0.0;
+  };
+  /// Counters as of sim.now() (settled ones plus windows not yet settled).
+  struct Tally {
+    std::size_t attempts = 0;
+    std::size_t successes = 0;
+    std::size_t wasted = 0;
+    double last_success = 0.0;
+    double max_gap = 0.0;
+  };
+
+  double time_of(const Window& w) const noexcept {
+    return start_time_ + (first_[w.slot] + static_cast<double>(w.round) *
+                                               params_.cycle_time);
+  }
+  void advance(Window& w) const noexcept {
+    if (++w.slot == first_.size()) {
+      w.slot = 0;
+      ++w.round;
+    }
+  }
+  /// Window `w` completing at `t`. kProvider: read the effective provider
+  /// (the loops below are instantiated once per case, so the stationary
+  /// fabric pays no per-window provider test).
+  template <bool kProvider>
+  Outcome evaluate(const Window& w, double t) const;
+  Tally tally() const;
+  template <bool kProvider>
+  Tally tally_from_cursor() const;
+
+  void scan();
+  template <bool kProvider>
+  void scan_windows();
+  void schedule_run_event(double at, double t, std::uint32_t n, double f0);
+  void on_run_event(std::uint32_t ticket, double t, std::uint32_t n,
+                    double f0);
+  void settle_run();
+  void retire_chain(bool keep_offers);
+  void settle_through(double until, bool stopping);
+  template <bool kProvider>
+  void settle_windows(double until, bool stopping);
+  void schedule_replay(double t, std::uint32_t n, double f0);
+  void land(std::uint32_t n, double f0);
+  void offer(double t, std::uint32_t n);
+  void park();
+  void unpark();
   void record_success(des::SimTime at) noexcept {
     max_delivery_gap_ = std::max(max_delivery_gap_, at - last_success_);
     last_success_ = at;
@@ -161,6 +302,37 @@ class GenerationService {
   /// Bumped by reset(): events scheduled before a reset carry the old
   /// epoch and are ignored if the caller did not also reset the simulator.
   std::uint64_t epoch_ = 0;
+
+  // Window grid, per slot (see Window).
+  des::SimTime start_time_ = 0.0;
+  std::vector<double> first_;         ///< first completion offset
+  std::vector<KeyedStream> streams_;  ///< u(p, .) of the slot's pair
+
+  /// First window not yet settled into the counters below.
+  Window cursor_;
+
+  // The active chain: windows [cursor_, chain_end_) are evaluated, and one
+  // pending event (ticket_) settles them. They hold run_attempts_ failed
+  // attempts and then, if batch_ > 0, batch_ successes at batch_time_.
+  bool chain_active_ = false;
+  std::uint32_t ticket_ = 0;
+  des::EventId chain_event_{};
+  Window chain_end_;
+  std::size_t run_windows_ = 0;
+  std::size_t run_attempts_ = 0;
+  std::uint32_t batch_ = 0;
+  double batch_time_ = 0.0;
+  double run_t0_ = 0.0;  ///< completion time of the run's first window
+  double run_t1_ = 0.0;  ///< completion time of its last window
+
+  // Parking (Buffered mode, full pool).
+  bool parked_ = false;
+  std::uint32_t wake_ticket_ = 0;
+  double parked_since_ = 0.0;
+  std::size_t park_windows_ = 0;
+  std::size_t park_successes_ = 0;
+
+  // Settled counters.
   std::size_t attempts_ = 0;
   std::size_t successes_ = 0;
   std::size_t wasted_buffer_full_ = 0;

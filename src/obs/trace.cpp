@@ -9,10 +9,10 @@ const char* ev_name(Ev ev) noexcept {
   switch (ev) {
     case Ev::Trial:
       return "trial";
-    case Ev::GenOk:
-      return "gen_ok";
-    case Ev::GenFail:
-      return "gen_fail";
+    case Ev::Skip:
+      return "skip";
+    case Ev::Park:
+      return "park";
     case Ev::Deposit:
       return "deposit";
     case Ev::RemoteWait:
@@ -37,8 +37,8 @@ const char* ev_category(Ev ev) noexcept {
   switch (ev) {
     case Ev::Trial:
       return "run";
-    case Ev::GenOk:
-    case Ev::GenFail:
+    case Ev::Skip:
+    case Ev::Park:
     case Ev::Deposit:
       return "gen";
     case Ev::RemoteWait:
@@ -115,6 +115,13 @@ JsonValue TraceSink::to_json(const TraceBuffer& buf, double us_per_unit) const {
       const std::int64_t id = next_id++;
       JsonValue b = base(e.ev, e.track, "b", t0);
       b.set("id", JsonValue(id));
+      if (e.ev == Ev::Skip || e.ev == Ev::Park) {
+        JsonValue args = JsonValue::object();
+        args.set("windows", JsonValue(static_cast<std::int64_t>(e.windows)));
+        args.set("successes",
+                 JsonValue(static_cast<std::int64_t>(e.successes)));
+        b.set("args", std::move(args));
+      }
       recs.push_back(Rec{t0, std::move(b)});
       JsonValue end = base(e.ev, e.track, "e", t1);
       end.set("id", JsonValue(id));

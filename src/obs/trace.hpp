@@ -24,8 +24,8 @@ namespace dqcsim::obs {
 /// Typed trace events. The name doubles as the Chrome trace "name" field.
 enum class Ev : std::uint8_t {
   Trial,         ///< whole-trial span on the engine track
-  GenOk,         ///< successful generation attempt window (span)
-  GenFail,       ///< failed generation attempt window (span)
+  Skip,          ///< generation windows evaluated without events (span)
+  Park,          ///< buffered generation parked on a full pool (span)
   Deposit,       ///< pair deposited into a buffer (instant)
   RemoteWait,    ///< remote gate ready → pair available (span)
   RemoteExec,    ///< remote gate execution incl. swap/purify latency (span)
@@ -41,13 +41,17 @@ const char* ev_name(Ev ev) noexcept;
 /// Chrome trace "cat" (category) string for an event type.
 const char* ev_category(Ev ev) noexcept;
 
-/// One recorded event. Spans carry [t0, t1]; instants use t0 only.
+/// One recorded event. Spans carry [t0, t1]; instants use t0 only. Skip
+/// and Park spans also carry how many attempt windows and successes they
+/// cover.
 struct TraceEvent {
   double t0 = 0.0;
   double t1 = 0.0;
   Ev ev = Ev::Trial;
   bool span = false;
   std::uint32_t track = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t successes = 0;
 };
 
 /// Fixed-capacity ring of trace events. reset() pre-sizes the backing
@@ -59,10 +63,15 @@ class TraceBuffer {
   void reset(std::size_t capacity);
 
   void span(Ev ev, std::uint32_t track, double t0, double t1) noexcept {
-    record(TraceEvent{t0, t1, ev, true, track});
+    record(TraceEvent{t0, t1, ev, true, track, 0, 0});
+  }
+  /// A span covering `windows` attempt windows with `successes` successes.
+  void span_counts(Ev ev, std::uint32_t track, double t0, double t1,
+                   std::uint64_t windows, std::uint64_t successes) noexcept {
+    record(TraceEvent{t0, t1, ev, true, track, windows, successes});
   }
   void instant(Ev ev, std::uint32_t track, double t) noexcept {
-    record(TraceEvent{t, t, ev, false, track});
+    record(TraceEvent{t, t, ev, false, track, 0, 0});
   }
 
   /// Recorded events, oldest first.

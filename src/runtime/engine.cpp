@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -257,6 +258,9 @@ struct RunContext::State {
   scenario::ScenarioRuntime scen;
   bool scen_active = false;
   std::uint64_t scen_epoch = 0;    ///< invalidates stale boundary events
+  /// Time of the pending boundary event (infinity when none remains): the
+  /// composed links' providers answer for sure only up to it.
+  double scen_next_boundary = 0.0;
   std::vector<char> scen_edge_up;  ///< current up mask, per topology edge
   bool scen_any_down = false;      ///< any entry of scen_edge_up is 0
   net::Router scen_router;         ///< masked router while any edge is down
@@ -760,6 +764,8 @@ struct RunContext::State {
     eff.f0 = net::swap_composed_fidelity(
         scen_hop_f0.data(), scen_hop_f0.size(),
         route_cache.inputs.swap.bsm_fidelity);
+    // The route can change at the next boundary (update_link_route).
+    eff.stable_until = scen_next_boundary;
     return eff;
   }
 
@@ -770,8 +776,15 @@ struct RunContext::State {
   void update_link_route(LinkState& link, double t) {
     const net::Router& router =
         scen_any_down ? scen_router : route_cache.router;
+    // A composed link's effective provider reads route_up / route_edges:
+    // its service must settle the windows up to now before they change.
+    // (Swap-as-you-go never starts the per-link services.)
+    const auto route_changes = [&] {
+      if (!use_swap_go) link.service->resync();
+    };
     if (!router.has_route(link.node_a, link.node_b)) {
       if (link.route_up) {
+        route_changes();
         link.route_up = false;
         link.down_since = t;
       }
@@ -783,6 +796,7 @@ struct RunContext::State {
         !std::equal(route.edges.begin(), route.edges.end(),
                     link.route_edges.begin());
     if (link.route_up && !path_changed) return;
+    route_changes();
     if (!link.route_up) {
       result.outage_downtime += t - link.down_since;
       obs_outage_over(link_track(link), link.down_since, t);
@@ -852,7 +866,7 @@ struct RunContext::State {
         for (std::size_t e = 0; e < edge_services.size(); ++e) {
           const net::TopologyEdge& edge = config.topology->edge(e);
           if (!scen.node_up(edge.a, t) || !scen.node_up(edge.b, t)) {
-            result.pairs_discarded += edge_services[e]->buffer().flush(t);
+            result.pairs_discarded += edge_services[e]->flush();
           }
         }
       }
@@ -874,6 +888,8 @@ struct RunContext::State {
   /// between trials discards whatever was left pending).
   void schedule_next_scen_boundary(double t) {
     const std::optional<double> next = scen.next_boundary(t);
+    scen_next_boundary =
+        next ? *next : std::numeric_limits<double>::infinity();
     if (!next) return;
     const double when = *next;
     sim.schedule_at(when, [this, when, epoch = scen_epoch] {
@@ -1095,7 +1111,7 @@ struct RunContext::State {
       for (std::size_t i = 0; i < needed; ++i) {
         hop_fid_scratch.clear();
         for (const std::size_t e : link.route_edges) {
-          auto pair = edge_services[e]->buffer().pop(sim.now(), order);
+          auto pair = edge_services[e]->take(order);
           DQCSIM_ENSURES(pair.has_value());
           const double age = sim.now() - pair->deposited;
           pair_age_acc.add(age);
@@ -1467,7 +1483,7 @@ struct RunContext::State {
       PendingRemote& req = link.pending.front();
       req.num_births = 0;
       for (std::size_t i = 0; i < needed; ++i) {
-        auto pair = link.service->buffer().pop(sim.now(), order);
+        auto pair = link.service->take(order);
         DQCSIM_ENSURES(pair.has_value());
         req.births[req.num_births] = pair->deposited;
         req.birth_f0[req.num_births] = pair->f0;
@@ -1571,17 +1587,16 @@ struct RunContext::State {
         flat_params = config.link_params(design);
       }
       if (use_swap_go || use_shared_caps) count_edge_loads();
+      // Start the lazy boundary event chain before the services start, so
+      // their first scans know how far the fabric is settled.
+      if (scen_active) schedule_next_scen_boundary(0.0);
       if (use_swap_go) {
         setup_edge_services();
       } else {
         setup_composed_links(mode, flat_params);
       }
-      // Apply any outage already in force at t = 0, then start the lazy
-      // boundary event chain.
-      if (scen_active) {
-        apply_scen_boundary(0.0);
-        schedule_next_scen_boundary(0.0);
-      }
+      // Apply any outage already in force at t = 0.
+      if (scen_active) apply_scen_boundary(0.0);
     }
 
     if (use_adaptive) {
@@ -1597,9 +1612,10 @@ struct RunContext::State {
       }
     }
 
-    // Drive the simulation until every gate has completed. The generation
-    // service perpetually schedules events, so the loop can always advance;
-    // an event-starved state with unfinished gates indicates a logic error.
+    // Drive the simulation until every gate has completed. A gate waiting
+    // for pairs always has a generation service with events ahead of it (a
+    // service parks only on a full buffer, which serves the gate), so an
+    // event-starved state with unfinished gates indicates a logic error.
     // A finite max_trial_sim_time bounds the drive: an event strictly
     // beyond the budget never executes, so a trial that cannot finish
     // (e.g. total disconnection) stops deterministically with partial

@@ -17,14 +17,6 @@ constexpr std::uint64_t kTagWalk = 0x57414C4BULL;   // "WALK"
 constexpr std::uint64_t kTagBurst = 0x42555253ULL;  // "BURS"
 constexpr std::uint64_t kTagFail = 0x4641494CULL;   // "FAIL"
 
-/// splitmix64 finalizer — bijective 64-bit mix.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 /// Independent stream seed for component `index` of kind `tag`.
 std::uint64_t derive_seed(std::uint64_t trial_seed, std::uint64_t salt,
                           std::uint64_t tag, std::uint64_t index) noexcept {
@@ -246,36 +238,39 @@ bool ScenarioRuntime::node_up(int node, double t) const {
   return !in_intervals(node_downs_[static_cast<std::size_t>(node)], t);
 }
 
-bool ScenarioRuntime::edge_up(std::size_t edge, double t) const {
+bool ScenarioRuntime::edge_up(std::size_t edge, double t) {
   if (in_intervals(edge_downs_[edge], t)) return false;
-  if (!failures_.empty() &&
-      in_disjoint_intervals(failures_[edge].intervals, t)) {
-    return false;
+  if (!failures_.empty()) {
+    EdgeFailures& fail = failures_[edge];
+    if (fail.sampled_until <= t) extend_edge(fail, t);
+    if (in_disjoint_intervals(fail.intervals, t)) return false;
   }
   const net::TopologyEdge& e = topo_->edge(edge);
   return node_up(e.a, t) && node_up(e.b, t);
 }
 
-void ScenarioRuntime::extend_failures(double t) {
+void ScenarioRuntime::extend_edge(EdgeFailures& fail, double t) {
+  // Sample until the *first failure starting after t* is materialized (or
+  // the process is exhausted): with it sampled, every boundary of this edge
+  // in (t, that start] is known, so next_boundary can never return a time
+  // that an unsampled failure would preempt, and the edge's up state is
+  // exact for any time up to that start.
   const double mtbf = scn_->random_failures.mtbf;
   const double repair = scn_->random_failures.duration;
-  for (EdgeFailures& fail : failures_) {
-    // Sample until the *first failure starting after t* is materialized (or
-    // the process is exhausted): with it sampled, every boundary of this
-    // edge in (t, that start] is known, so next_boundary can never return a
-    // time that an unsampled failure would preempt, and edge_up is exact
-    // for any query at or before the returned boundary.
-    while (!fail.exhausted &&
-           (fail.intervals.empty() || fail.intervals.back().first <= t)) {
-      const double start = fail.sampled_until + exponential(fail.rng, mtbf);
-      if (start > scn_->horizon) {
-        fail.exhausted = true;
-        break;
-      }
-      fail.intervals.emplace_back(start, start + repair);
-      fail.sampled_until = start + repair;
+  while (!fail.exhausted &&
+         (fail.intervals.empty() || fail.intervals.back().first <= t)) {
+    const double start = fail.sampled_until + exponential(fail.rng, mtbf);
+    if (start > scn_->horizon) {
+      fail.exhausted = true;
+      break;
     }
+    fail.intervals.emplace_back(start, start + repair);
+    fail.sampled_until = start + repair;
   }
+}
+
+void ScenarioRuntime::extend_failures(double t) {
+  for (EdgeFailures& fail : failures_) extend_edge(fail, t);
 }
 
 std::optional<double> ScenarioRuntime::next_boundary(double t) {

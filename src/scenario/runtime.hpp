@@ -61,10 +61,12 @@ class ScenarioRuntime {
   /// `base` scaled like effective_p_succ, clamped to [0.25, 1].
   double effective_f0(std::size_t edge, double base, double t);
 
-  /// Outage state at time `t`. Valid for any t already covered by
-  /// next_boundary's lazy extension (the engine only queries at or before
-  /// the next scheduled boundary). A down endpoint node takes the edge down.
-  bool edge_up(std::size_t edge, double t) const;
+  /// Outage state at time `t`, for any t: the edge's stochastic failure
+  /// process is sampled on demand through `t` (its own seeded stream, so
+  /// the realization does not depend on query order). This is what lets a
+  /// generation service read the fabric ahead of the clock. A down endpoint
+  /// node takes the edge down.
+  bool edge_up(std::size_t edge, double t);
   bool node_up(int node, double t) const;
 
   /// Earliest instant strictly after `t` at which any edge/node up state
@@ -97,6 +99,9 @@ class ScenarioRuntime {
     double sampled_until = 0.0;  ///< no unsampled failure starts before this
     bool exhausted = false;      ///< process ran past the horizon
   };
+  /// Sample one edge's failure process until its first failure starting
+  /// after `t` is materialized (or the process is exhausted).
+  void extend_edge(EdgeFailures& fail, double t);
   struct Snap {
     double time;
     double p_scale;

@@ -206,7 +206,7 @@ TEST(TraceBuffer, RingEvictsOldestAndCountsDrops) {
 TEST(TraceSink, ExportsWellFormedChromeTraceJson) {
   TraceBuffer buf;
   buf.reset(16);
-  buf.span(Ev::GenOk, 1, 0.0, 2.0);
+  buf.span_counts(Ev::Skip, 1, 0.0, 2.0, 7, 1);
   buf.instant(Ev::Reroute, 1, 1.0);
   buf.span(Ev::Trial, 0, 0.0, 5.0);
   TraceSink sink;
@@ -219,6 +219,9 @@ TEST(TraceSink, ExportsWellFormedChromeTraceJson) {
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"link 0-1\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
+  // Skip/Park spans carry their window and success counts.
+  EXPECT_NE(json.find("\"windows\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"successes\": 1"), std::string::npos);
 }
 
 // ------------------------------------------------- engine-level contracts ----
