@@ -8,6 +8,10 @@
 
 namespace dqcsim::ent {
 
+namespace {
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+}  // namespace
+
 GenerationService::GenerationService(des::Simulator& sim,
                                      const LinkParams& params, Rng& rng,
                                      ServiceMode mode)
@@ -172,6 +176,44 @@ GenerationService::Outcome GenerationService::evaluate(const Window& w,
   }
 }
 
+// DQCSIM_HOT
+// Inlined into the walking loops: between dense successes it runs only a
+// few windows per call, so call overhead would dominate.
+[[gnu::always_inline]] inline std::size_t GenerationService::skip_failures(
+    Window& w, double until, std::size_t max) const {
+  // The loops' cost floor: one hash and compare per window. Whole rounds
+  // inside the bounds skip the per-window time check (slot times increase
+  // within a round).
+  const auto slots = static_cast<std::uint32_t>(first_.size());
+  const double p_succ = params_.p_succ;
+  std::size_t n = 0;
+  while (n < max) {
+    const std::size_t rest = slots - w.slot;
+    if (rest <= max - n && time_of(Window{w.round, slots - 1}) <= until) {
+      for (std::uint32_t s = w.slot; s < slots; ++s) {
+        if (streams_[s].uniform(w.round) < p_succ) {
+          n += s - w.slot;
+          w.slot = s;
+          return n;
+        }
+      }
+      n += rest;
+      w.slot = 0;
+      ++w.round;
+      continue;
+    }
+    for (; w.slot < slots; ++w.slot, ++n) {
+      if (n >= max || time_of(w) > until ||
+          streams_[w.slot].uniform(w.round) < p_succ) {
+        return n;
+      }
+    }
+    w.slot = 0;
+    ++w.round;
+  }
+  return n;
+}
+
 GenerationService::Tally GenerationService::tally() const {
   if (!running_) {
     return {attempts_, successes_, wasted_buffer_full_, last_success_,
@@ -191,6 +233,11 @@ GenerationService::Tally GenerationService::tally_from_cursor() const {
       parked_ && !chain_active_ && mode_ == ServiceMode::Buffered;
   Window w = cursor_;
   for (double t = time_of(w); t <= now; advance(w), t = time_of(w)) {
+    if constexpr (!kProvider) {
+      out.attempts += skip_failures(w, now, kNoLimit);
+      t = time_of(w);
+      if (t > now) break;
+    }
     const Outcome o = evaluate<kProvider>(w, t);
     if (!o.up) continue;
     ++out.attempts;
@@ -230,6 +277,23 @@ void GenerationService::scan_windows() {
   run_t0_ = t;
   run_t1_ = now;
   for (; windows < chunk || t <= now; ++windows, advance(w), t = time_of(w)) {
+    if constexpr (!kProvider) {
+      // Failed windows up to now, then up to the chunk (or, within a
+      // success instant, up to that instant).
+      const double until = batch > 0 ? batch_t : now;
+      std::size_t skipped = skip_failures(w, until, kNoLimit);
+      if (batch == 0 && windows + skipped < chunk) {
+        skipped += skip_failures(w, std::numeric_limits<double>::infinity(),
+                                 chunk - windows - skipped);
+      }
+      if (skipped > 0) {
+        windows += skipped;
+        attempts += skipped;
+        run_t1_ = time_before(w);
+        t = time_of(w);
+        if (!(windows < chunk || t <= now)) break;
+      }
+    }
     if (batch > 0 && t != batch_t) break;
     if (t > horizon) break;
     const Outcome o = evaluate<kProvider>(w, t);
@@ -348,6 +412,13 @@ void GenerationService::settle_windows(double until, bool stopping) {
   double pending_f0 = 0.0;
   Window w = cursor_;
   for (double t = time_of(w); t <= until; advance(w), t = time_of(w)) {
+    if constexpr (!kProvider) {
+      const std::size_t skipped = skip_failures(w, until, kNoLimit);
+      attempts_ += skipped;
+      if (parked_) park_windows_ += skipped;
+      t = time_of(w);
+      if (t > until) break;
+    }
     const Outcome o = evaluate<kProvider>(w, t);
     if (parked_) ++park_windows_;
     if (!o.up) continue;

@@ -262,6 +262,16 @@ class GenerationService {
   /// fabric pays no per-window provider test).
   template <bool kProvider>
   Outcome evaluate(const Window& w, double t) const;
+  /// Stationary fabric only: move `w` past failed windows, stopping at a
+  /// success, at the first window completing after `until`, or after `max`
+  /// windows. Returns how many windows it passed (all attempts).
+  std::size_t skip_failures(Window& w, double until, std::size_t max) const;
+  /// Completion time of the window before `w` (w must not be the first).
+  double time_before(const Window& w) const noexcept {
+    return w.slot > 0 ? time_of(Window{w.round, w.slot - 1})
+                      : time_of(Window{w.round - 1, static_cast<std::uint32_t>(
+                                                        first_.size() - 1)});
+  }
   Tally tally() const;
   template <bool kProvider>
   Tally tally_from_cursor() const;

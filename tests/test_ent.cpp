@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -471,6 +472,65 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   never.start();
   sim2.run_until(95.0);
   EXPECT_DOUBLE_EQ(never.max_delivery_gap(sim2.now()), sim2.now());
+}
+
+// ------------------------------------------- parking (event-sparse) rules ----
+
+/// One pair that always succeeds into a one-slot buffer: completions at
+/// 10, 20, 30, ..., deposits one time unit later. The pool fills at t = 11
+/// and the service parks.
+LinkParams one_slot_link() {
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  link.swap_latency = 1.0;
+  link.record_trace = false;
+  return link;
+}
+
+TEST(GenerationService, ParkedDepositCountsOnceStrictlyPast) {
+  des::Simulator sim;
+  Rng rng(1);
+  GenerationService service(sim, one_slot_link(), rng, ServiceMode::Buffered);
+  service.start();
+  sim.run_until(21.0);
+  // The parked deposit due at 21 is still in flight at 21 (a pop now
+  // would come first) ...
+  EXPECT_EQ(service.wasted_buffer_full(), 0u);
+  EXPECT_EQ(service.successes(), 2u);
+  sim.run_until(21.5);
+  // ... and wasted once its instant has passed.
+  EXPECT_EQ(service.wasted_buffer_full(), 1u);
+  EXPECT_LT(sim.executed_events(), 5u);  // parked: no per-window events
+}
+
+TEST(GenerationService, PopWakingAParkedServicePrecedesDepositsAtItsInstant) {
+  des::Simulator sim;
+  Rng rng(1);
+  GenerationService service(sim, one_slot_link(), rng, ServiceMode::Buffered);
+  std::vector<double> deposits;
+  service.set_arrival_handler([&deposits](des::SimTime t) {
+    deposits.push_back(t);
+    return true;
+  });
+  // Pops at 21 (a parked deposit's instant) and at 35 (between deposits).
+  std::vector<double> popped;
+  for (const double t : {21.0, 35.0}) {
+    sim.schedule_at(t, [&service, &popped] {
+      if (auto pair = service.take(ConsumeOrder::FreshestFirst)) {
+        popped.push_back(pair->deposited);
+      }
+    });
+  }
+  service.start();
+  sim.run_until(40.0);
+  // 11 lands; 21 lands after the pop at 21 took the 11 pair; 31 finds the
+  // pool full; 35 takes the 21 pair, so 41 will land.
+  EXPECT_EQ(popped, (std::vector<double>{11.0, 21.0}));
+  EXPECT_EQ(deposits, (std::vector<double>{11.0, 21.0}));
+  EXPECT_EQ(service.wasted_buffer_full(), 1u);
+  EXPECT_EQ(service.buffer().size(40.0), 0u);
 }
 
 }  // namespace
