@@ -3,11 +3,14 @@
 ///
 /// Prints one CSV row per (cell, seed): depth, fidelity and avg_pair_age of
 /// QAOA-r8-32 for every distributed design x {all-to-all(8), chain(8),
-/// ring(8)} x {stationary, drift + outages}, 16 comm + 16 buffer qubits per
-/// node. Built from two checkouts (before and after a change to the random
-/// draw stream), the two outputs feed tools/ks_equivalence.py, which tests
-/// every cell and metric for distributional equivalence. The program uses
-/// only long-standing public API so an older checkout compiles it as is:
+/// ring(8), two nodes at p_succ 0.8} x {stationary, drift + outages}, 16
+/// comm + 16 buffer qubits per node. The two-node shape is the paper's
+/// setting at a saturating success rate, where deposits and gate
+/// completions share instants most often. Built from two checkouts (before
+/// and after a change to the random draw stream), the two outputs feed
+/// tools/ks_equivalence.py, which tests every cell and metric for
+/// distributional equivalence. The program uses only long-standing public
+/// API so an older checkout compiles it as is:
 ///
 ///     ./replay_samples [seeds=1000] [threads=3] > samples.csv
 
@@ -69,10 +72,13 @@ int main(int argc, char** argv) {
 
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   std::vector<Cell> cells;
-  for (const std::string& shape : {std::string("all_to_all"),
-                                   std::string("chain"), std::string("ring")}) {
+  for (const std::string& shape :
+       {std::string("all_to_all"), std::string("chain"), std::string("ring"),
+        std::string("pair_p0.8")}) {
+    const bool pair = shape == "pair_p0.8";
     const net::Topology topo = shape == "chain"  ? net::Topology::chain(8)
                                : shape == "ring" ? net::Topology::ring(8)
+                               : pair            ? net::Topology::all_to_all(2)
                                                  : net::Topology::all_to_all(8);
     const auto part = runtime::partition_circuit(qc, topo);
     for (const bool faulty : {false, true}) {
@@ -81,7 +87,8 @@ int main(int argc, char** argv) {
         cell.name = shape + (faulty ? "/drift+outages/" : "/stationary/") +
                     runtime::design_name(design);
         cell.design = design;
-        cell.config.num_nodes = 8;
+        cell.config.num_nodes = topo.num_nodes();
+        if (pair) cell.config.p_succ = 0.8;
         cell.config.comm_per_node = 16;
         cell.config.buffer_per_node = 16;
         cell.config.record_arrival_trace = false;

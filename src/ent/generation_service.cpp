@@ -345,19 +345,22 @@ void GenerationService::schedule_run_event(double at, double t,
 void GenerationService::on_run_event(std::uint32_t ticket, double t,
                                      std::uint32_t n, double f0) {
   // A retired or replayed run's event only delivers its successes; the
-  // chain's own event also settles the run and extends the chain.
+  // chain's own event also settles the run and extends the chain. It
+  // extends the chain first, so the next success's event is scheduled
+  // before anything the handlers schedule at this instant — the order a
+  // per-window simulation, whose window events are scheduled a cycle
+  // ahead, gives the next deposit against a gate started now.
   const bool owner = chain_active_ && ticket == ticket_;
-  if (owner) settle_run();
-  if (n > 0) {
-    if (mode_ == ServiceMode::Buffered) {
-      land(n, f0);
-    } else {
-      offer(t, n);
-    }
+  if (owner) {
+    settle_run();
+    if (running_ && !parked_) scan();
   }
-  // A handler may already have restarted the chain (waking a parked
-  // service) or stopped the service.
-  if (owner && running_ && !parked_ && !chain_active_) scan();
+  if (n == 0) return;
+  if (mode_ == ServiceMode::Buffered) {
+    land(n, f0);
+  } else {
+    offer(t, n);
+  }
 }
 
 void GenerationService::settle_run() {

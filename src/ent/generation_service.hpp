@@ -65,9 +65,12 @@
 ///    keeps running.
 ///  - A deposit and a pop at the same instant: a deposit is a simulator
 ///    event, so it precedes a pop at its instant iff it was scheduled first
-///    (the simulator's FIFO tie-break). The service fixes one case itself:
-///    a pop that wakes a parked service at W precedes every parked deposit
-///    landing at W.
+///    (the simulator's FIFO tie-break). The event of a success instant is
+///    scheduled when the walk reaches it, at the previous success instant
+///    and before that instant's deliveries run their handlers — as a
+///    per-window simulation, whose window events are scheduled a cycle
+///    ahead, would. The service fixes one case itself: a pop that wakes a
+///    parked service at W precedes every parked deposit landing at W.
 ///  - Pops and flushes go through take() and flush(); popping buffer()
 ///    directly does not wake a parked service, which then misses the slot.
 ///  - The provider is read ahead of the clock (up to one chunk, never past

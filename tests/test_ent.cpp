@@ -477,8 +477,9 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
 // ------------------------------------------- parking (event-sparse) rules ----
 
 /// One pair that always succeeds into a one-slot buffer: completions at
-/// 10, 20, 30, ..., deposits one time unit later. The pool fills at t = 11
-/// and the service parks.
+/// 10, 20, 30, ..., deposits one time unit later. The pool fills at t = 11;
+/// the deposit at 21 is already scheduled then and finds the pool full,
+/// after which the service parks (window 30 on is parked).
 LinkParams one_slot_link() {
   LinkParams link = paper_link();
   link.p_succ = 1.0;
@@ -494,14 +495,18 @@ TEST(GenerationService, ParkedDepositCountsOnceStrictlyPast) {
   Rng rng(1);
   GenerationService service(sim, one_slot_link(), rng, ServiceMode::Buffered);
   service.start();
-  sim.run_until(21.0);
-  // The parked deposit due at 21 is still in flight at 21 (a pop now
-  // would come first) ...
-  EXPECT_EQ(service.wasted_buffer_full(), 0u);
-  EXPECT_EQ(service.successes(), 2u);
   sim.run_until(21.5);
-  // ... and wasted once its instant has passed.
+  EXPECT_EQ(service.wasted_buffer_full(), 1u);  // the deposit at 21
+  sim.run_until(31.0);
+  // The parked deposit due at 31 is still in flight at 31 (a pop now
+  // would come first) ...
   EXPECT_EQ(service.wasted_buffer_full(), 1u);
+  EXPECT_EQ(service.successes(), 3u);
+  sim.run_until(31.5);
+  // ... and wasted once its instant has passed.
+  EXPECT_EQ(service.wasted_buffer_full(), 2u);
+  sim.run_until(1000.0);
+  EXPECT_EQ(service.wasted_buffer_full(), 98u);
   EXPECT_LT(sim.executed_events(), 5u);  // parked: no per-window events
 }
 
@@ -514,9 +519,9 @@ TEST(GenerationService, PopWakingAParkedServicePrecedesDepositsAtItsInstant) {
     deposits.push_back(t);
     return true;
   });
-  // Pops at 21 (a parked deposit's instant) and at 35 (between deposits).
+  // Pops at 31 (a parked deposit's instant) and at 35 (between deposits).
   std::vector<double> popped;
-  for (const double t : {21.0, 35.0}) {
+  for (const double t : {31.0, 35.0}) {
     sim.schedule_at(t, [&service, &popped] {
       if (auto pair = service.take(ConsumeOrder::FreshestFirst)) {
         popped.push_back(pair->deposited);
@@ -525,10 +530,10 @@ TEST(GenerationService, PopWakingAParkedServicePrecedesDepositsAtItsInstant) {
   }
   service.start();
   sim.run_until(40.0);
-  // 11 lands; 21 lands after the pop at 21 took the 11 pair; 31 finds the
-  // pool full; 35 takes the 21 pair, so 41 will land.
-  EXPECT_EQ(popped, (std::vector<double>{11.0, 21.0}));
-  EXPECT_EQ(deposits, (std::vector<double>{11.0, 21.0}));
+  // 11 lands; 21 finds the pool full; 31 lands after the pop at 31 took
+  // the 11 pair; 35 takes the 31 pair, so 41 will land.
+  EXPECT_EQ(popped, (std::vector<double>{11.0, 31.0}));
+  EXPECT_EQ(deposits, (std::vector<double>{11.0, 31.0}));
   EXPECT_EQ(service.wasted_buffer_full(), 1u);
   EXPECT_EQ(service.buffer().size(40.0), 0u);
 }
