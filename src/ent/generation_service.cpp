@@ -301,6 +301,8 @@ void GenerationService::scan_windows() {
       // Stop where the provider's answers stop being final; the answer
       // for this window is dropped and re-read later.
       horizon = o.stable_until;
+      DQCSIM_ENSURES_MSG(horizon >= now,
+                         "a provider's stable_until lies in the past");
       if (t > horizon) break;
     }
     if (o.success) {

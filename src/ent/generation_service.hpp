@@ -112,9 +112,9 @@ struct EffectiveLink {
   double f0 = 0.99;     ///< fidelity a pair born right now would have
   bool up = true;       ///< false while any hop of the route is down
   /// The provider's answers are final for every time up to this instant
-  /// (its owner will not resync() before then). A scan stops at it and
-  /// resumes from an event at that instant, so the owner's own event there
-  /// (scheduled earlier) runs first.
+  /// (its owner will not resync() before then); never before the current
+  /// time. A scan stops at it and resumes from an event at that instant,
+  /// so the owner's own event there (scheduled earlier) runs first.
   des::SimTime stable_until = std::numeric_limits<double>::infinity();
 };
 
