@@ -18,11 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -72,8 +73,6 @@ struct Record {
   double gap = 0.0;
   std::size_t deposited = 0, consumed = 0, expired = 0, rejected = 0;
   std::size_t stored = 0;
-
-  friend bool operator==(const Record&, const Record&) = default;
 };
 
 /// Consumer behaviour shared by both implementations: in the buffered
