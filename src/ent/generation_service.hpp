@@ -270,10 +270,13 @@ class GenerationService {
   /// windows. Returns how many windows it passed (all attempts).
   std::size_t skip_failures(Window& w, double until, std::size_t max) const;
   /// Completion time of the window before `w` (w must not be the first).
-  double time_before(const Window& w) const noexcept {
-    return w.slot > 0 ? time_of(Window{w.round, w.slot - 1})
-                      : time_of(Window{w.round - 1, static_cast<std::uint32_t>(
-                                                        first_.size() - 1)});
+  double time_before(Window w) const noexcept {
+    if (w.slot == 0) {
+      w.slot = static_cast<std::uint32_t>(first_.size());
+      --w.round;
+    }
+    --w.slot;
+    return time_of(w);
   }
   Tally tally() const;
   template <bool kProvider>
