@@ -87,9 +87,10 @@ int main() {
                                                          &sync_long},
         {"asynchronous", &async_long}}) {
     const double rate = static_cast<double>(trace->count()) / stats_horizon;
+    const double burstiness = trace->burstiness(1.0, stats_horizon);
     table.add_row({name, TablePrinter::fmt(trace->count()),
                    TablePrinter::fmt(rate, 3),
-                   TablePrinter::fmt(trace->burstiness(1.0, stats_horizon), 3)});
+                   TablePrinter::fmt(burstiness, 3)});
     csv.add_row({name, std::to_string(trace->count()),
                  TablePrinter::fmt(rate, 4),
                  TablePrinter::fmt(trace->burstiness(1.0, stats_horizon), 4)});

@@ -1,8 +1,9 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark microbenchmarks of the library's hot paths
 /// (not a paper experiment): DES throughput, partitioner, DAG analysis,
-/// qsim density-matrix kernels, and full engine runs. Results are also exported to BENCH_perf_micro.json for the
-/// CI perf gate (see bench_report.hpp).
+/// qsim density-matrix kernels, and full engine runs. Results are also
+/// exported to BENCH_perf_micro.json for the CI perf gate (see
+/// bench_report.hpp).
 
 #include <benchmark/benchmark.h>
 
@@ -214,10 +215,9 @@ BENCHMARK(BM_EngineRunQaoaR8_32);
 // each run_design worker drives it. After the warmup trials every buffer is
 // at its high-water mark and the setup cache is hot, so a trial performs
 // zero heap allocation (the allocs_per_op counter).
-void BM_RunContextTrialSteadyState(benchmark::State& state) {
-  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
-  const auto part = runtime::partition_circuit(qc, 2);
-  const runtime::ArchConfig config;
+void run_steady_state_trials(benchmark::State& state, const Circuit& qc,
+                             const std::vector<int>& assignment,
+                             const runtime::ArchConfig& config) {
   noise::TeleportNoiseParams tele;
   tele.local_2q_fidelity = config.fid.local_cnot;
   tele.local_1q_fidelity = config.fid.one_qubit;
@@ -226,21 +226,26 @@ void BM_RunContextTrialSteadyState(benchmark::State& state) {
   runtime::RunContext ctx;
   constexpr std::uint64_t kSeeds = 16;
   for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
+    ctx.execute(qc, assignment, config, runtime::DesignKind::AsyncBuf,
                 1000 + s, &model);
   }
   const std::uint64_t allocs0 = allocs_since(0);
   std::uint64_t seed = 0;
   for (auto _ : state) {
     const auto result =
-        ctx.execute(qc, part.assignment, config,
-                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds),
-                    &model);
+        ctx.execute(qc, assignment, config, runtime::DesignKind::AsyncBuf,
+                    1000 + (seed++ % kSeeds), &model);
     benchmark::DoNotOptimize(result.depth);
   }
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs_since(allocs0)) /
       static_cast<double>(state.iterations()));
+}
+
+void BM_RunContextTrialSteadyState(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = runtime::partition_circuit(qc, 2);
+  run_steady_state_trials(state, qc, part.assignment, runtime::ArchConfig{});
 }
 BENCHMARK(BM_RunContextTrialSteadyState);
 
@@ -253,29 +258,7 @@ void BM_RunContextTrialTraceOff(benchmark::State& state) {
   const auto part = runtime::partition_circuit(qc, 2);
   runtime::ArchConfig config;
   config.record_arrival_trace = false;
-  noise::TeleportNoiseParams tele;
-  tele.local_2q_fidelity = config.fid.local_cnot;
-  tele.local_1q_fidelity = config.fid.one_qubit;
-  tele.readout_fidelity = config.fid.measurement;
-  const noise::TeleportFidelityModel model(tele);
-  runtime::RunContext ctx;
-  constexpr std::uint64_t kSeeds = 16;
-  for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
-                1000 + s, &model);
-  }
-  const std::uint64_t allocs0 = allocs_since(0);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto result =
-        ctx.execute(qc, part.assignment, config,
-                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds),
-                    &model);
-    benchmark::DoNotOptimize(result.depth);
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs_since(allocs0)) /
-      static_cast<double>(state.iterations()));
+  run_steady_state_trials(state, qc, part.assignment, config);
 }
 BENCHMARK(BM_RunContextTrialTraceOff);
 
@@ -289,31 +272,25 @@ void BM_RunContextTrialObserverOff(benchmark::State& state) {
   runtime::ArchConfig config;
   config.record_arrival_trace = false;
   config.observe = nullptr;  // explicit: the observer-off contract
-  noise::TeleportNoiseParams tele;
-  tele.local_2q_fidelity = config.fid.local_cnot;
-  tele.local_1q_fidelity = config.fid.one_qubit;
-  tele.readout_fidelity = config.fid.measurement;
-  const noise::TeleportFidelityModel model(tele);
-  runtime::RunContext ctx;
-  constexpr std::uint64_t kSeeds = 16;
-  for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
-                1000 + s, &model);
-  }
-  const std::uint64_t allocs0 = allocs_since(0);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto result =
-        ctx.execute(qc, part.assignment, config,
-                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds),
-                    &model);
-    benchmark::DoNotOptimize(result.depth);
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs_since(allocs0)) /
-      static_cast<double>(state.iterations()));
+  run_steady_state_trials(state, qc, part.assignment, config);
 }
 BENCHMARK(BM_RunContextTrialObserverOff);
+
+// The same steady-state trial on a chain(8) topology with composed
+// delivery and no scenario: routing, per-edge link parameters and the
+// config check all come from the setup cache or stay allocation-free, so a
+// topology trial allocates nothing either.
+void BM_RunContextTrialChain8(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const net::Topology topo = net::Topology::chain(8);
+  const auto part = runtime::partition_circuit(qc, topo);
+  runtime::ArchConfig config;
+  config.num_nodes = 8;
+  config.record_arrival_trace = false;
+  config.set_topology(topo);
+  run_steady_state_trials(state, qc, part.assignment, config);
+}
+BENCHMARK(BM_RunContextTrialChain8);
 
 // End-to-end trial throughput of the experiment driver (one worker): the
 // number the fig5-fig8 sweeps and ablation benches are built from.

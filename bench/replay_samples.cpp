@@ -44,7 +44,6 @@ scenario::Scenario drift_and_outages() {
   scenario::Scenario scn;
   scenario::DriftTrack p;
   p.field = scenario::DriftField::PSucc;
-  p.kind = scenario::DriftKind::RandomWalk;
   p.walk_interval = 50.0;
   p.walk_step = 0.2;
   p.walk_min = 0.5;

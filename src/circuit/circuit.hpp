@@ -42,9 +42,15 @@ class Circuit {
   void sdg(QubitId q) { append(make_gate(GateKind::Sdg, q)); }
   void t(QubitId q) { append(make_gate(GateKind::T, q)); }
   void tdg(QubitId q) { append(make_gate(GateKind::Tdg, q)); }
-  void rx(QubitId q, double theta) { append(make_gate(GateKind::RX, q, theta)); }
-  void ry(QubitId q, double theta) { append(make_gate(GateKind::RY, q, theta)); }
-  void rz(QubitId q, double theta) { append(make_gate(GateKind::RZ, q, theta)); }
+  void rx(QubitId q, double theta) {
+    append(make_gate(GateKind::RX, q, theta));
+  }
+  void ry(QubitId q, double theta) {
+    append(make_gate(GateKind::RY, q, theta));
+  }
+  void rz(QubitId q, double theta) {
+    append(make_gate(GateKind::RZ, q, theta));
+  }
   void cx(QubitId c, QubitId t) { append(make_gate(GateKind::CX, c, t)); }
   void cz(QubitId a, QubitId b) { append(make_gate(GateKind::CZ, a, b)); }
   void cp(QubitId c, QubitId t, double theta) {

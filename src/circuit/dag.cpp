@@ -22,8 +22,8 @@ DependencyDag::DependencyDag(const Circuit& circuit, Mode mode) {
     const Gate& gi = circuit.gate(i);
     std::vector<std::size_t> new_preds;
     for (int k = 0; k < gi.arity(); ++k) {
-      auto& wire =
-          on_wire[static_cast<std::size_t>(gi.qubits[static_cast<std::size_t>(k)])];
+      const QubitId q = gi.qubits[static_cast<std::size_t>(k)];
+      auto& wire = on_wire[static_cast<std::size_t>(q)];
       if (mode == Mode::ProgramOrder) {
         if (!wire.empty()) {
           const std::size_t j = wire.back();

@@ -66,7 +66,8 @@ EdgeList random_regular_graph(int n, int d, Rng& rng) {
     {
       std::set<Edge> seen;
       for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (edges[i].first == edges[i].second || !seen.insert(edges[i]).second) {
+        if (edges[i].first == edges[i].second ||
+            !seen.insert(edges[i]).second) {
           bad_idx = i;
           break;
         }

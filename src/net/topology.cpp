@@ -74,7 +74,7 @@ Topology Topology::custom(int num_nodes,
 
 void Topology::add_edge(int a, int b) {
   if (a > b) std::swap(a, b);
-  edges_.push_back(TopologyEdge{a, b, {}});
+  edges_.push_back(TopologyEdge{a, b});
 }
 
 std::size_t Topology::edge_index(int a, int b) const {
@@ -128,32 +128,6 @@ bool Topology::is_connected() const {
   return reached == num_nodes_;
 }
 
-namespace {
-
-void validate_overrides(const EdgeOverrides& o) {
-  if (o.p_succ && !(*o.p_succ > 0.0 && *o.p_succ <= 1.0)) {
-    throw ConfigError("Topology: edge p_succ override must be in (0, 1]");
-  }
-  if (o.cycle_time && !(*o.cycle_time > 0.0)) {
-    throw ConfigError("Topology: edge cycle_time override must be positive");
-  }
-  if (o.f0 && !(*o.f0 >= 0.25 && *o.f0 <= 1.0)) {
-    throw ConfigError("Topology: edge f0 override must be in [0.25, 1]");
-  }
-}
-
-}  // namespace
-
-void Topology::set_edge_overrides(int a, int b,
-                                  const EdgeOverrides& overrides) {
-  const std::size_t idx = edge_index(a, b);
-  if (idx == npos) {
-    throw ConfigError("Topology: cannot override a non-existent edge");
-  }
-  validate_overrides(overrides);
-  edges_[idx].overrides = overrides;
-}
-
 void Topology::validate() const {
   if (num_nodes_ < 2) {
     throw ConfigError("Topology: an interconnect needs at least two nodes");
@@ -168,7 +142,6 @@ void Topology::validate() const {
     if (e.a == e.b) {
       throw ConfigError("Topology: self-loop edges are not allowed");
     }
-    validate_overrides(e.overrides);
   }
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     for (std::size_t j = i + 1; j < edges_.size(); ++j) {

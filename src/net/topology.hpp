@@ -6,15 +6,17 @@
 /// physical entanglement-generation link (a pair of fiber-coupled
 /// communication-qubit banks), and node pairs without an edge communicate
 /// through multi-hop routes of entanglement swaps (see net/router.hpp).
-/// Edges may override the architecture-wide link parameters (success
-/// probability, attempt cycle, base fidelity) to model heterogeneous
-/// hardware — e.g. one long noisy fiber in an otherwise uniform ring.
+/// Every edge runs the architecture-wide link parameters.
+///
+/// A Topology cannot be changed once built: the shape builders are valid
+/// by construction and `custom` validates its adjacency list, so a built
+/// topology never needs re-validating.
 
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dqcsim::net {
@@ -32,24 +34,10 @@ enum class TopologyKind {
 /// Display name, e.g. "ring".
 std::string topology_kind_name(TopologyKind kind);
 
-/// Optional per-edge deviations from the architecture-wide link parameters
-/// (ent::LinkParams fields derived from runtime::ArchConfig). Unset fields
-/// inherit the base value.
-struct EdgeOverrides {
-  std::optional<double> p_succ;      ///< per-attempt success probability
-  std::optional<double> cycle_time;  ///< T_EG of this edge's hardware
-  std::optional<double> f0;          ///< fresh-pair fidelity on this edge
-
-  bool any() const noexcept {
-    return p_succ.has_value() || cycle_time.has_value() || f0.has_value();
-  }
-};
-
 /// One undirected physical link between two QPU nodes.
 struct TopologyEdge {
   int a = 0;  ///< endpoint node id (a < b after normalization)
   int b = 0;
-  EdgeOverrides overrides;
 };
 
 /// Undirected interconnect graph over `num_nodes` QPUs.
@@ -101,14 +89,8 @@ class Topology {
   /// True when every node can reach every other node.
   bool is_connected() const;
 
-  /// Attach per-edge parameter overrides to edge {a, b}.
-  /// Throws ConfigError when the edge is absent or a value is out of
-  /// domain (p_succ in (0,1], cycle_time > 0, f0 in [0.25, 1]).
-  void set_edge_overrides(int a, int b, const EdgeOverrides& overrides);
-
   /// Throws ConfigError unless the topology has >= 2 nodes, >= 1 edge, no
-  /// self-loops/duplicates/out-of-range endpoints, is connected, and all
-  /// overrides are in domain.
+  /// self-loops/duplicates/out-of-range endpoints, and is connected.
   void validate() const;
 
  private:

@@ -7,10 +7,10 @@
 namespace dqcsim::qsim {
 namespace {
 
-constexpr int kMaxQubits = 14;  // 4^14 * 16 B = 4 GiB would be too big; 14 -> 256M entries? No:
-// dim = 2^14 = 16384; dim^2 = 2.7e8 entries * 16 B ~= 4.3 GB. The practical
-// guard below therefore limits to 12 qubits (dim^2 = 1.6e7, ~270 MB peak
-// with channel copies). Teleportation gadgets use at most 6.
+// At 14 qubits dim = 2^14 = 16384 and dim^2 = 2.7e8 entries * 16 B ~= 4.3 GB,
+// too big. The practical guard therefore limits to 12 qubits (dim^2 = 1.6e7,
+// ~270 MB peak with channel copies). Teleportation gadgets use at most 6.
+constexpr int kMaxQubits = 14;
 constexpr int kPracticalMaxQubits = 12;
 
 }  // namespace
@@ -363,7 +363,8 @@ DensityMatrix DensityMatrix::mix(const DensityMatrix& a, double wa,
 
 DensityMatrix DensityMatrix::bell_phi_plus() {
   const double s = 1.0 / std::sqrt(2.0);
-  return DensityMatrix(std::vector<Complex>{{s, 0.0}, {0, 0}, {0, 0}, {s, 0.0}});
+  return DensityMatrix(
+      std::vector<Complex>{{s, 0.0}, {0, 0}, {0, 0}, {s, 0.0}});
 }
 
 DensityMatrix DensityMatrix::werner(double fidelity) {

@@ -45,12 +45,11 @@ void ArchConfig::validate() const {
   if (!(max_trial_sim_time > 0.0)) {
     throw ConfigError("ArchConfig: max_trial_sim_time must be positive");
   }
-  if (topology) {
-    topology->validate();
-    if (topology->num_nodes() != num_nodes) {
-      throw ConfigError(
-          "ArchConfig: topology node count must match num_nodes");
-    }
+  // A built topology is valid (see net/topology.hpp), so only its fit to
+  // this config is checked; re-running its connectivity search here would
+  // allocate on every trial.
+  if (topology && topology->num_nodes() != num_nodes) {
+    throw ConfigError("ArchConfig: topology node count must match num_nodes");
   }
   if (scenario) {
     if (!topology) {
@@ -121,8 +120,7 @@ ent::LinkParams ArchConfig::link_params(DesignKind design, int node_a,
       node_b >= topo.num_nodes()) {
     throw ConfigError("ArchConfig: link endpoint outside [0, num_nodes)");
   }
-  const std::size_t edge = topo.edge_index(node_a, node_b);
-  if (edge == net::Topology::npos) {
+  if (!topo.has_edge(node_a, node_b)) {
     throw ConfigError(
         "ArchConfig: node pair has no physical edge; multi-hop links are "
         "derived by routing (net::Router + net::compose_route)");
@@ -132,10 +130,6 @@ ent::LinkParams ArchConfig::link_params(DesignKind design, int node_a,
   // across its own degree.
   split_budget(*this, design,
                std::max(topo.degree(node_a), topo.degree(node_b)), link);
-  const net::EdgeOverrides& o = topo.edge(edge).overrides;
-  if (o.p_succ) link.p_succ = *o.p_succ;
-  if (o.cycle_time) link.cycle_time = *o.cycle_time;
-  if (o.f0) link.f0 = *o.f0;
   return link;
 }
 

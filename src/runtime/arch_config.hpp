@@ -188,7 +188,9 @@ struct ArchConfig {
     return purify_on_consume ? 2 * base : base;
   }
 
-  /// Throws ConfigError when any field is out of domain.
+  /// Throws ConfigError when any field is out of domain. The topology is
+  /// checked only against num_nodes (a built topology is valid), so a
+  /// well-formed config validates without allocating.
   void validate() const;
 
   /// Derive the entanglement-link parameters for a given design
@@ -202,11 +204,10 @@ struct ArchConfig {
 
   /// Per-node-pair link parameters. Without a topology every pair gets the
   /// homogeneous all-to-all parameters above. With a topology, {a, b} must
-  /// be a physical edge: the edge's overrides apply and each endpoint
-  /// splits its comm/buffer budget across its own degree (the scarcer
-  /// endpoint bounds the link). Multi-hop pairs have no direct link — the
-  /// engine derives their effective link by routing (net::compose_route);
-  /// requesting one here throws ConfigError.
+  /// be a physical edge: each endpoint splits its comm/buffer budget across
+  /// its own degree (the scarcer endpoint bounds the link). Multi-hop pairs
+  /// have no direct link — the engine derives their effective link by
+  /// routing (net::compose_route); requesting one here throws ConfigError.
   /// Throws ConfigError when an endpoint's degree exceeds comm_per_node.
   ent::LinkParams link_params(DesignKind design, int node_a,
                               int node_b) const;

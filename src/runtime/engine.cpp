@@ -757,8 +757,8 @@ struct RunContext::State {
       // either order; asking the schedule directly keeps `up` exact.
       if (!scen.edge_up(e, t)) eff.up = false;
       const ent::LinkParams& ep = route_cache.edge_params[e];
-      p *= scen.effective_p_succ(e, ep.p_succ, t);
-      scen_hop_f0.push_back(scen.effective_f0(e, ep.f0, t));
+      p *= scen.effective_p_succ(ep.p_succ, t);
+      scen_hop_f0.push_back(scen.effective_f0(ep.f0, t));
     }
     eff.p_succ = p;
     eff.f0 = net::swap_composed_fidelity(
@@ -1045,8 +1045,8 @@ struct RunContext::State {
         svc.set_effective_provider([this, e](des::SimTime t) {
           const ent::LinkParams& edge_p = route_cache.edge_params[e];
           ent::EffectiveLink eff;
-          eff.p_succ = scen.effective_p_succ(e, edge_p.p_succ, t);
-          eff.f0 = scen.effective_f0(e, edge_p.f0, t);
+          eff.p_succ = scen.effective_p_succ(edge_p.p_succ, t);
+          eff.f0 = scen.effective_f0(edge_p.f0, t);
           eff.up = scen.edge_up(e, t);
           return eff;
         });

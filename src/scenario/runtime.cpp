@@ -13,9 +13,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Stream tags keep the per-component seed derivations disjoint.
-constexpr std::uint64_t kTagWalk = 0x57414C4BULL;   // "WALK"
-constexpr std::uint64_t kTagBurst = 0x42555253ULL;  // "BURS"
-constexpr std::uint64_t kTagFail = 0x4641494CULL;   // "FAIL"
+constexpr std::uint64_t kTagWalk = 0x57414C4BULL;  // "WALK"
+constexpr std::uint64_t kTagFail = 0x4641494CULL;  // "FAIL"
 
 /// Independent stream seed for component `index` of kind `tag`.
 std::uint64_t derive_seed(std::uint64_t trial_seed, std::uint64_t salt,
@@ -41,18 +40,10 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
   const std::size_t num_nodes = static_cast<std::size_t>(topo.num_nodes());
   const std::uint64_t salt = scenario.salt;
 
-  track_edge_.resize(scenario.drift.size());
   walks_.resize(scenario.drift.size());
-  for (std::size_t i = 0; i < scenario.drift.size(); ++i) {
-    const DriftTrack& track = scenario.drift[i];
-    track_edge_[i] = (track.node_a < 0 && track.node_b < 0)
-                         ? net::Topology::npos
-                         : topo.edge_index(track.node_a, track.node_b);
-    walks_[i].levels.clear();
-    if (track.kind == DriftKind::RandomWalk) {
-      walks_[i].rng = Rng(derive_seed(trial_seed, salt, kTagWalk, i));
-      walks_[i].levels.push_back(1.0);
-    }
+  for (std::size_t i = 0; i < walks_.size(); ++i) {
+    walks_[i].rng = Rng(derive_seed(trial_seed, salt, kTagWalk, i));
+    walks_[i].levels.assign(1, 1.0);
   }
 
   edge_downs_.resize(num_edges);
@@ -67,39 +58,6 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
   for (const NodeOutage& outage : scenario.node_outages) {
     node_downs_[static_cast<std::size_t>(outage.node)].emplace_back(
         outage.start, outage.start + outage.duration);
-  }
-  for (std::size_t b = 0; b < scenario.bursts.size(); ++b) {
-    const FailureBurst& burst = scenario.bursts[b];
-    const auto window = std::make_pair(burst.start, burst.start + burst.duration);
-    if (!burst.edges.empty()) {
-      for (const auto& [x, y] : burst.edges) {
-        edge_downs_[topo.edge_index(x, y)].push_back(window);
-      }
-    } else {
-      // Per-trial seeded random subset: partial Fisher–Yates over the edge
-      // index list, one independent stream per burst.
-      Rng rng(derive_seed(trial_seed, salt, kTagBurst, b));
-      scratch_indices_.resize(num_edges);
-      for (std::size_t e = 0; e < num_edges; ++e) scratch_indices_[e] = e;
-      const std::size_t k = static_cast<std::size_t>(burst.random_edges);
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(rng.uniform_int(num_edges - i));
-        std::swap(scratch_indices_[i], scratch_indices_[j]);
-        edge_downs_[scratch_indices_[i]].push_back(window);
-      }
-    }
-  }
-
-  node_snaps_.resize(num_nodes);
-  for (auto& snaps : node_snaps_) snaps.clear();
-  for (const CalibrationSnapshot& snap : scenario.snapshots) {
-    node_snaps_[static_cast<std::size_t>(snap.node)].push_back(
-        {snap.time, snap.p_succ_scale, snap.f0_scale});
-  }
-  for (auto& snaps : node_snaps_) {
-    std::stable_sort(snaps.begin(), snaps.end(),
-                     [](const Snap& a, const Snap& b) { return a.time < b.time; });
   }
 
   // Potential-flip times of the deterministic outage set. Overlapping
@@ -140,74 +98,37 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
 }
 
 double ScenarioRuntime::track_scale(std::size_t i, double time) {
+  // Memoized grid levels allow random access in time (consumption-time
+  // fidelity queries look back to a pair's deposit instant). The walk
+  // freezes past the scenario horizon, bounding memoization.
   const DriftTrack& track = scn_->drift[i];
-  switch (track.kind) {
-    case DriftKind::Step: {
-      // Last step time <= `time`; scale 1 before the first step.
-      const auto it =
-          std::upper_bound(track.times.begin(), track.times.end(), time);
-      if (it == track.times.begin()) return 1.0;
-      return track.levels[static_cast<std::size_t>(it - track.times.begin()) -
-                          1];
-    }
-    case DriftKind::Ramp: {
-      if (time <= track.t0) return track.s0;
-      if (time >= track.t1) return track.s1;
-      return track.s0 + (track.s1 - track.s0) * (time - track.t0) /
-                            (track.t1 - track.t0);
-    }
-    case DriftKind::RandomWalk: {
-      // Memoized grid levels allow random access in time (consumption-time
-      // fidelity queries look back to a pair's deposit instant). The walk
-      // freezes past the scenario horizon, bounding memoization.
-      WalkState& walk = walks_[i];
-      const double capped = std::min(time, scn_->horizon);
-      const std::size_t step = static_cast<std::size_t>(
-          std::max(0.0, std::floor(capped / track.walk_interval)));
-      while (walk.levels.size() <= step) {
-        const double factor =
-            1.0 + walk.rng.uniform(-track.walk_step, track.walk_step);
-        walk.levels.push_back(std::clamp(walk.levels.back() * factor,
-                                         track.walk_min, track.walk_max));
-      }
-      return walk.levels[step];
-    }
+  WalkState& walk = walks_[i];
+  const double capped = std::min(time, scn_->horizon);
+  const std::size_t step = static_cast<std::size_t>(
+      std::max(0.0, std::floor(capped / track.walk_interval)));
+  while (walk.levels.size() <= step) {
+    const double factor =
+        1.0 + walk.rng.uniform(-track.walk_step, track.walk_step);
+    walk.levels.push_back(std::clamp(walk.levels.back() * factor,
+                                     track.walk_min, track.walk_max));
   }
-  return 1.0;  // unreachable
+  return walk.levels[step];
 }
 
-double ScenarioRuntime::scale(std::size_t edge, DriftField field, double t) {
+double ScenarioRuntime::scale(DriftField field, double t) {
   double s = 1.0;
   for (std::size_t i = 0; i < scn_->drift.size(); ++i) {
-    if (scn_->drift[i].field != field) continue;
-    if (track_edge_[i] != net::Topology::npos && track_edge_[i] != edge) {
-      continue;
-    }
-    s *= track_scale(i, t);
-  }
-  if (!scn_->snapshots.empty()) {
-    const net::TopologyEdge& e = topo_->edge(edge);
-    for (const int node : {e.a, e.b}) {
-      const auto& snaps = node_snaps_[static_cast<std::size_t>(node)];
-      // Last snapshot with time <= t is in force (later entries win ties).
-      auto it = std::upper_bound(
-          snaps.begin(), snaps.end(), t,
-          [](double time, const Snap& snap) { return time < snap.time; });
-      if (it == snaps.begin()) continue;
-      const Snap& snap = *(it - 1);
-      s *= (field == DriftField::PSucc) ? snap.p_scale : snap.f_scale;
-    }
+    if (scn_->drift[i].field == field) s *= track_scale(i, t);
   }
   return s;
 }
 
-double ScenarioRuntime::effective_p_succ(std::size_t edge, double base,
-                                         double t) {
-  return std::clamp(base * scale(edge, DriftField::PSucc, t), 1e-12, 1.0);
+double ScenarioRuntime::effective_p_succ(double base, double t) {
+  return std::clamp(base * scale(DriftField::PSucc, t), 1e-12, 1.0);
 }
 
-double ScenarioRuntime::effective_f0(std::size_t edge, double base, double t) {
-  return std::clamp(base * scale(edge, DriftField::F0, t), 0.25, 1.0);
+double ScenarioRuntime::effective_f0(double base, double t) {
+  return std::clamp(base * scale(DriftField::F0, t), 0.25, 1.0);
 }
 
 bool ScenarioRuntime::in_intervals(

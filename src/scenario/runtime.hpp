@@ -6,18 +6,19 @@
 /// re-armed per trial with begin_trial(). It answers two kinds of queries:
 ///
 ///  - *Effective link parameters*: effective_p_succ / effective_f0 apply
-///    every matching drift track and calibration snapshot to a base value
-///    and clamp the result into the field's domain. Queries are random
-///    access in time (the engine evaluates the fidelity of a buffered pair
-///    at its deposit instant, which lies in the past at consumption).
+///    every drift track on the field to a base value and clamp the result
+///    into the field's domain. Drift is fabric-wide, so the scale depends
+///    on the time alone. Queries are random access in time (the engine
+///    evaluates the fidelity of a buffered pair at its deposit instant,
+///    which lies in the past at consumption).
 ///
 ///  - *Availability*: edge_up / node_up report the outage state, and
 ///    next_boundary returns the next instant any up/down state flips —
 ///    the engine schedules its re-routing events at exactly these times,
 ///    so between boundaries the availability state is constant.
 ///
-/// Stochastic components (random-walk drift, per-edge failure processes,
-/// random burst targets) draw from streams derived from
+/// Stochastic components (random-walk drift, per-edge failure processes)
+/// draw from streams derived from
 /// (trial seed, scenario salt, component index) — never from the engine's
 /// generation stream — so the same seed always yields the same schedule and
 /// enabling a scenario cannot perturb the entanglement-generation draws.
@@ -54,12 +55,13 @@ class ScenarioRuntime {
   /// True between begin_trial() and the next re-arm.
   bool active() const noexcept { return scn_ != nullptr; }
 
-  /// `base` scaled by every matching drift track and endpoint calibration
-  /// snapshot at time `t`, clamped to (0, 1].
-  double effective_p_succ(std::size_t edge, double base, double t);
+  /// `base` scaled by every p_succ drift track at time `t`, clamped to
+  /// (0, 1].
+  double effective_p_succ(double base, double t);
 
-  /// `base` scaled like effective_p_succ, clamped to [0.25, 1].
-  double effective_f0(std::size_t edge, double base, double t);
+  /// `base` scaled by every f0 drift track at time `t`, clamped to
+  /// [0.25, 1].
+  double effective_f0(double base, double t);
 
   /// Outage state at time `t`, for any t: the edge's stochastic failure
   /// process is sampled on demand through `t` (its own seeded stream, so
@@ -75,10 +77,10 @@ class ScenarioRuntime {
   std::optional<double> next_boundary(double t);
 
  private:
-  /// Scale contributed by drift track `i` at time `time`.
+  /// Scale of drift track `i` (a random walk) at time `time`.
   double track_scale(std::size_t i, double time);
-  /// Product of all scales matching (edge, field) at `time`.
-  double scale(std::size_t edge, DriftField field, double t);
+  /// Product of the scales of every track on `field` at `time`.
+  double scale(DriftField field, double t);
   /// Extend edge failure sampling so the first failure starting after `t`
   /// is materialized for every edge (see the comment in the definition).
   void extend_failures(double t);
@@ -102,24 +104,16 @@ class ScenarioRuntime {
   /// Sample one edge's failure process until its first failure starting
   /// after `t` is materialized (or the process is exhausted).
   void extend_edge(EdgeFailures& fail, double t);
-  struct Snap {
-    double time;
-    double p_scale;
-    double f_scale;
-  };
 
   const Scenario* scn_ = nullptr;
   const net::Topology* topo_ = nullptr;
 
-  std::vector<std::size_t> track_edge_;  ///< per track; npos = every edge
-  std::vector<WalkState> walks_;         ///< parallel to scn_->drift
-  std::vector<EdgeFailures> failures_;   ///< per edge (empty when disabled)
-  /// Deterministic down intervals (outages + bursts), per edge / per node.
+  std::vector<WalkState> walks_;        ///< parallel to scn_->drift
+  std::vector<EdgeFailures> failures_;  ///< per edge (empty when disabled)
+  /// Deterministic down intervals (outages), per edge / per node.
   std::vector<std::vector<std::pair<double, double>>> edge_downs_;
   std::vector<std::vector<std::pair<double, double>>> node_downs_;
-  std::vector<std::vector<Snap>> node_snaps_;  ///< per node, time-sorted
   std::vector<double> det_boundaries_;  ///< sorted unique det. flip times
-  std::vector<std::size_t> scratch_indices_;  ///< burst target sampling
 };
 
 }  // namespace dqcsim::scenario

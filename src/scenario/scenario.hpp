@@ -6,23 +6,19 @@
 /// noise never change within or across trials. A Scenario perturbs the
 /// interconnect over *simulated* time:
 ///
-///  - link-quality drift: per-edge (or fabric-wide) multiplicative scales on
-///    p_succ and f0 — piecewise-constant steps, linear ramps, or seeded
-///    random walks, always clamped back into the field's valid domain;
+///  - link-quality drift: fabric-wide multiplicative scales on p_succ and
+///    f0, each a seeded random walk on a fixed step grid (piecewise
+///    constant between grid points), always clamped back into the field's
+///    valid domain;
 ///  - link and node outages with recovery windows: a down edge generates no
 ///    pairs, a down node takes all of its incident edges down;
-///  - correlated failure bursts: one event disabling a set of edges at once
-///    (explicit, or a per-trial seeded random subset);
 ///  - stochastic per-edge failures: an exponential up-time process with a
-///    fixed repair window, for outage-rate sweeps;
-///  - per-QPU calibration snapshots: at a given sim time a node's hardware
-///    swaps to a different noise profile (p_succ / f0 scales on its
-///    incident edges, in force until that node's next snapshot).
+///    fixed repair window, for outage-rate sweeps.
 ///
 /// A Scenario is a *specification*. The concrete per-trial schedule (walk
-/// steps, burst edge choice, stochastic failure times) is derived from the
-/// trial seed by scenario::ScenarioRuntime — the same seed always produces
-/// the same schedule, independent of thread count or sweep order, so every
+/// steps, stochastic failure times) is derived from the trial seed by
+/// scenario::ScenarioRuntime — the same seed always produces the same
+/// schedule, independent of thread count or sweep order, so every
 /// determinism guarantee of the experiment driver carries over.
 ///
 /// Wiring: set runtime::ArchConfig::scenario (requires a topology; the
@@ -36,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -50,38 +44,16 @@ enum class DriftField {
   F0,     ///< fresh-pair fidelity, clamped to [0.25, 1]
 };
 
-/// Shape of a drift track's scale-over-time curve.
-enum class DriftKind {
-  Step,        ///< piecewise-constant scale levels at given times
-  Ramp,        ///< linear scale from (t0, s0) to (t1, s1), held outside
-  RandomWalk,  ///< seeded multiplicative walk on a fixed step grid
-};
-
-/// One time-varying multiplicative scale on a link parameter. Scales from
-/// multiple tracks targeting the same edge compose by multiplication; the
-/// engine clamps the scaled value back into the field's domain.
+/// One fabric-wide multiplicative scale on a link parameter: a seeded
+/// random walk. Every `walk_interval` time units the scale multiplies by
+/// (1 + u), u uniform in [-walk_step, +walk_step], clamped to
+/// [walk_min, walk_max]; it starts at 1. Steps are drawn from a per-trial
+/// stream, so the walk differs between trials but is identical for
+/// identical seeds. Scales of tracks on the same field compose by
+/// multiplication; the engine clamps the scaled value back into the field's
+/// domain.
 struct DriftTrack {
   DriftField field = DriftField::PSucc;
-  DriftKind kind = DriftKind::Step;
-  /// Target physical edge {node_a, node_b}; -1/-1 targets every edge.
-  int node_a = -1;
-  int node_b = -1;
-
-  // Step: scale levels[i] applies from times[i] on (times strictly
-  // increasing, scale 1 before times[0]).
-  std::vector<double> times;
-  std::vector<double> levels;
-
-  // Ramp: scale s0 at t0 linearly to s1 at t1; s0 before t0, s1 after t1.
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double s0 = 1.0;
-  double s1 = 1.0;
-
-  // RandomWalk: every `walk_interval` time units the scale multiplies by
-  // (1 + u), u uniform in [-walk_step, +walk_step], clamped to
-  // [walk_min, walk_max]. Steps are drawn from a per-trial stream, so the
-  // walk differs between trials but is identical for identical seeds.
   double walk_interval = 0.0;
   double walk_step = 0.0;
   double walk_min = 0.5;
@@ -106,16 +78,6 @@ struct NodeOutage {
   double duration = 0.0;
 };
 
-/// Correlated failure burst: one event takes a *set* of edges down together
-/// for [start, start + duration). Either an explicit edge list, or
-/// `random_edges` distinct edges drawn per trial from the scenario stream.
-struct FailureBurst {
-  double start = 0.0;
-  double duration = 0.0;
-  std::vector<std::pair<int, int>> edges;  ///< explicit targets (may be empty)
-  int random_edges = 0;                    ///< sampled when edges is empty
-};
-
 /// Stochastic per-edge failure process: every edge independently alternates
 /// up-times drawn from Exp(mtbf) with fixed `duration` repair windows.
 /// mtbf == 0 disables the process. Failure times derive from the trial seed
@@ -125,15 +87,6 @@ struct RandomLinkFailures {
   double duration = 0.0;  ///< repair window per failure
 };
 
-/// Per-QPU calibration snapshot: from `time` on, the node's incident edges
-/// run at the scaled noise profile, until the node's next snapshot.
-struct CalibrationSnapshot {
-  int node = 0;
-  double time = 0.0;
-  double p_succ_scale = 1.0;
-  double f0_scale = 1.0;
-};
-
 /// A full fault & drift scenario (see file header). Default-constructed ==
 /// stationary fabric (ScenarioRuntime then reports every edge up at scale 1
 /// and no schedule boundaries).
@@ -141,9 +94,7 @@ struct Scenario {
   std::vector<DriftTrack> drift;
   std::vector<LinkOutage> link_outages;
   std::vector<NodeOutage> node_outages;
-  std::vector<FailureBurst> bursts;
   RandomLinkFailures random_failures;
-  std::vector<CalibrationSnapshot> snapshots;
 
   /// Stochastic events (random failures) past this sim time are not
   /// generated — a safety horizon bounding lazy schedule extension.
@@ -156,7 +107,7 @@ struct Scenario {
   /// True when no component can ever perturb the fabric.
   bool empty() const noexcept {
     return drift.empty() && link_outages.empty() && node_outages.empty() &&
-           bursts.empty() && random_failures.mtbf == 0.0 && snapshots.empty();
+           random_failures.mtbf == 0.0;
   }
 
   /// Throws ConfigError when any field is out of domain or targets an

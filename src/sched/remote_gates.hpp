@@ -17,7 +17,8 @@ namespace dqcsim::sched {
 
 /// Per-gate placement information for a partitioned circuit.
 struct GatePlacement {
-  std::vector<char> is_remote;  ///< 1 if gate i is remote (char: vector<bool> avoided)
+  /// 1 if gate i is remote (char: vector<bool> avoided).
+  std::vector<char> is_remote;
   std::size_t num_remote_2q = 0;
   std::size_t num_local_2q = 0;
   std::size_t num_1q = 0;

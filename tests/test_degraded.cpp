@@ -22,9 +22,7 @@ namespace {
 
 using dqcsim::Circuit;
 using scenario::DriftField;
-using scenario::DriftKind;
 using scenario::DriftTrack;
-using scenario::FailureBurst;
 using scenario::Scenario;
 
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
@@ -195,7 +193,6 @@ Scenario faulty_scenario() {
   Scenario scn;
   DriftTrack walk;
   walk.field = DriftField::PSucc;
-  walk.kind = DriftKind::RandomWalk;
   walk.walk_interval = 25.0;
   walk.walk_step = 0.15;
   scn.drift.push_back(walk);

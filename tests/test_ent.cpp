@@ -124,8 +124,8 @@ TEST(BufferPool, CountersAreConsistent) {
 TEST(BufferPool, FidelityAtAgeFollowsWernerDecay) {
   BufferPool pool(2, 0.99, 0.002, 1e9);
   EXPECT_DOUBLE_EQ(pool.fidelity_at_age(0.0), 0.99);
-  const double expected =
-      0.99 * std::exp(-2 * 0.002 * 25.0) + (1 - std::exp(-2 * 0.002 * 25.0)) / 4;
+  const double decay = std::exp(-2 * 0.002 * 25.0);
+  const double expected = 0.99 * decay + (1 - decay) / 4;
   EXPECT_DOUBLE_EQ(pool.fidelity_at_age(25.0), expected);
   EXPECT_THROW(pool.fidelity_at_age(-1.0), PreconditionError);
 }

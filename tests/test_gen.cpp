@@ -103,8 +103,8 @@ TEST(Qft, GateCountsMatchFormula) {
     const Circuit qc = make_qft(n);
     EXPECT_EQ(qc.num_qubits(), n);
     EXPECT_EQ(qc.count_1q(), static_cast<std::size_t>(n));
-    EXPECT_EQ(qc.count_2q(),
-              static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1) / 2);
+    const auto un = static_cast<std::size_t>(n);
+    EXPECT_EQ(qc.count_2q(), un * (un - 1) / 2);
   }
 }
 

@@ -27,7 +27,7 @@ using runtime::ArchConfig;
 using runtime::DesignKind;
 using runtime::RunResult;
 
-// ---------------------------------------------------------------- topology ----
+// --------------------------------------------------------------- topology ----
 
 TEST(Topology, BuildersProduceExpectedShapes) {
   const Topology chain = Topology::chain(5);
@@ -95,31 +95,7 @@ TEST(Topology, CustomRejectsMalformedGraphs) {
   EXPECT_NO_THROW(Topology::custom(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
 }
 
-TEST(Topology, EdgeOverridesValidateAndStick) {
-  Topology t = Topology::chain(3);
-  EdgeOverrides o;
-  o.p_succ = 0.7;
-  o.f0 = 0.95;
-  t.set_edge_overrides(1, 0, o);  // reversed endpoints normalize
-  const std::size_t e = t.edge_index(0, 1);
-  ASSERT_NE(e, Topology::npos);
-  EXPECT_TRUE(t.edge(e).overrides.any());
-  EXPECT_DOUBLE_EQ(*t.edge(e).overrides.p_succ, 0.7);
-  EXPECT_FALSE(t.edge(t.edge_index(1, 2)).overrides.any());
-
-  EXPECT_THROW(t.set_edge_overrides(0, 2, o), ConfigError);  // no edge
-  EdgeOverrides bad;
-  bad.p_succ = 0.0;
-  EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
-  bad = {};
-  bad.f0 = 0.1;
-  EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
-  bad = {};
-  bad.cycle_time = -1.0;
-  EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
-}
-
-// ------------------------------------------------------------------ router ----
+// ----------------------------------------------------------------- router ----
 
 TEST(Router, ChainHopCountsAreExact) {
   const Router r(Topology::chain(6));
@@ -323,7 +299,7 @@ TEST(Swap, ComposeRouteBottlenecksEveryResource) {
   EXPECT_DOUBLE_EQ(direct.extra_latency, 0.0);
 }
 
-// ----------------------------------------------------------------- mapping ----
+// ---------------------------------------------------------------- mapping ----
 
 TEST(Mapping, FindsTheBruteForceOptimumOnAChain) {
   // Parts 0 and 3 talk the most; on a 4-chain they must end up adjacent.
@@ -363,7 +339,7 @@ TEST(Mapping, AllToAllKeepsTheIdentity) {
             (std::vector<int>{0, 1, 2}));
 }
 
-// -------------------------------------------------- ArchConfig integration ----
+// ------------------------------------------------- ArchConfig integration ----
 
 TEST(NetArchConfig, PerPairParamsWithoutTopologyMatchLegacy) {
   ArchConfig config;
@@ -373,26 +349,21 @@ TEST(NetArchConfig, PerPairParamsWithoutTopologyMatchLegacy) {
   EXPECT_TRUE(legacy == per_pair);
 }
 
-TEST(NetArchConfig, PerPairParamsSplitByDegreeAndApplyOverrides) {
+TEST(NetArchConfig, PerPairParamsSplitByDegree) {
   ArchConfig config;
   config.num_nodes = 4;
   config.comm_per_node = 8;
   config.buffer_per_node = 8;
-  Topology star = Topology::star(4);
-  EdgeOverrides o;
-  o.p_succ = 0.7;
-  o.cycle_time = 20.0;
-  star.set_edge_overrides(0, 1, o);
-  config.set_topology(star);
+  config.set_topology(Topology::star(4));
 
   // Hub degree 3 bounds the split even though the leaf has degree 1.
   const auto link = config.link_params(DesignKind::SyncBuf, 0, 1);
   EXPECT_EQ(link.num_comm_pairs, 2);   // 8 / 3
   EXPECT_EQ(link.buffer_capacity, 2);  // 8 / 3
-  EXPECT_DOUBLE_EQ(link.p_succ, 0.7);
-  EXPECT_DOUBLE_EQ(link.cycle_time, 20.0);
-  const auto plain = config.link_params(DesignKind::SyncBuf, 0, 2);
-  EXPECT_DOUBLE_EQ(plain.p_succ, config.p_succ);
+  // Every edge runs the architecture-wide link fields.
+  EXPECT_DOUBLE_EQ(link.p_succ, config.p_succ);
+  EXPECT_DOUBLE_EQ(link.cycle_time, config.lat.epr_cycle);
+  EXPECT_TRUE(link == config.link_params(DesignKind::SyncBuf, 0, 2));
 
   // Leaf-to-leaf pairs have no physical edge: derived by routing only.
   EXPECT_THROW(config.link_params(DesignKind::SyncBuf, 1, 2), ConfigError);
@@ -417,7 +388,7 @@ TEST(NetArchConfig, SwapParamsDeriveFromTableII) {
   EXPECT_DOUBLE_EQ(swap.latency, 6.0);  // local CNOT + measurement
 }
 
-// --------------------------------------------------------- engine behavior ----
+// -------------------------------------------------------- engine behavior ----
 
 /// 8 qubits over 4 nodes with traffic on four node pairs plus local work.
 Circuit four_node_circuit() {
@@ -520,17 +491,14 @@ TEST(NetEngine, StarLeavesRouteThroughTheHub) {
   EXPECT_NEAR(r.avg_route_hops, 2.0, 1e-9);
 }
 
-TEST(NetEngine, EdgeOverridesShapeTheSchedule) {
+TEST(NetEngine, CycleTimeShapesTheSchedule) {
   // Slowing the only edge's attempt cycle delays the remote gate exactly.
   Circuit qc(2);
   qc.cx(0, 1);
   ArchConfig config;
   config.p_succ = 1.0;
-  Topology t = Topology::chain(2);
-  EdgeOverrides o;
-  o.cycle_time = 20.0;
-  t.set_edge_overrides(0, 1, o);
-  config.set_topology(t);
+  config.lat.epr_cycle = 20.0;
+  config.set_topology(Topology::chain(2));
   const RunResult r = run_once(qc, {0, 1}, config, DesignKind::SyncBuf);
   EXPECT_NEAR(r.depth, 22.0, 1e-9);  // 20 herald + 1 swap-in + 1 gate
 }

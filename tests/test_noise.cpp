@@ -14,7 +14,7 @@
 namespace dqcsim::noise {
 namespace {
 
-// ------------------------------------------------------------ Werner decay ----
+// ----------------------------------------------------------- Werner decay ----
 
 TEST(Werner, NoDecayAtTimeZero) {
   EXPECT_DOUBLE_EQ(werner_decayed_fidelity(0.99, 0.002, 0.0), 0.99);
@@ -92,7 +92,7 @@ TEST(Werner, SwappedFidelityMultipliesWeights) {
   EXPECT_LT(werner_swapped_fidelity(0.95, 0.85), 0.85);
 }
 
-// ------------------------------------------------- teleported-CNOT fidelity ----
+// ----------------------------------------------- teleported-CNOT fidelity ----
 
 TEST(TeleportFidelity, NoiselessPerfectPairIsExact) {
   TeleportNoiseParams perfect;
@@ -190,8 +190,8 @@ TEST(StateTeleport, StateFidelityMatchesWernerTheory) {
   perfect.local_1q_fidelity = 1.0;
   perfect.readout_fidelity = 1.0;
   for (double f : {0.25, 0.5, 0.75, 0.99}) {
-    EXPECT_NEAR(teleported_state_avg_fidelity(f, perfect), (2.0 * f + 1.0) / 3.0,
-                1e-10)
+    EXPECT_NEAR(teleported_state_avg_fidelity(f, perfect),
+                (2.0 * f + 1.0) / 3.0, 1e-10)
         << "pair fidelity " << f;
   }
 }
@@ -243,7 +243,7 @@ TEST(StateTeleportCnotModel, MatchesExactOnAGrid) {
   }
 }
 
-// ------------------------------------------------------------ purification ----
+// ----------------------------------------------------------- purification ----
 
 TEST(Purification, PerfectPairsStayPerfect) {
   const auto out = purify_werner(1.0, 1.0);
@@ -307,7 +307,7 @@ TEST(Purification, RejectsOutOfRange) {
   EXPECT_THROW(purify_werner_nested(0.9, -1), PreconditionError);
 }
 
-// --------------------------------------------------------- fidelity ledger ----
+// -------------------------------------------------------- fidelity ledger ----
 
 TEST(FidelityLedger, EmptyLedgerIsUnity) {
   FidelityLedger ledger;

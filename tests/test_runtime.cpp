@@ -125,7 +125,7 @@ TEST(ArchConfig, EffectiveSegmentSizeUsesPaperDefault) {
   EXPECT_EQ(config.effective_segment_size(), 8u);
 }
 
-// -------------------------------------------------------------- ideal runs ----
+// ------------------------------------------------------------- ideal runs ----
 
 TEST(Engine, IdealDepthOfSerialCnotChain) {
   Circuit qc(3);
@@ -162,7 +162,7 @@ TEST(Engine, IdealTreatsRemotePairsAsLocal) {
   EXPECT_EQ(r.epr_attempts, 0u);
 }
 
-// ----------------------------------------------------------- remote timing ----
+// ---------------------------------------------------------- remote timing ----
 
 TEST(Engine, SyncBufSingleRemoteGateWaitsForFirstPair) {
   // First sync completion at t=10, swap 1 -> pair available at 11; the
@@ -397,7 +397,7 @@ TEST(StateTeleportRuntime, LowerFidelityThanGateTeleport) {
   EXPECT_GT(state_agg.depth.mean(), gate_agg.depth.mean());
 }
 
-// -------------------------------------------------------------- multi-node ----
+// ------------------------------------------------------------- multi-node ----
 
 TEST(MultiNode, LinkParamsSplitResourcesAcrossLinks) {
   ArchConfig config = paper_config();
@@ -538,7 +538,7 @@ TEST(MultiNode, FourWayPartitionOfBenchmarkRuns) {
   EXPECT_LE(agg.fidelity.max(), 1.0);
 }
 
-// ------------------------------------------------------------ purification ----
+// ----------------------------------------------------------- purification ----
 
 TEST(PurificationRuntime, ConsumesTwoPairsAndDelaysStart) {
   const Circuit qc = single_remote_cx();

@@ -32,81 +32,57 @@ using runtime::RunResult;
 
 // ------------------------------------------------- ScenarioRuntime units ----
 
-TEST(ScenarioRuntime, StepDriftScalesFromEachStepTime) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
+/// A fabric-wide random walk on `field`: steps every `interval`, each
+/// multiplying the scale by 1 + u, u in [-step, +step], clamped to [lo, hi].
+DriftTrack walk(DriftField field, double interval, double step,
+                double lo = 0.5, double hi = 1.5) {
   DriftTrack track;
-  track.field = DriftField::PSucc;
-  track.kind = DriftKind::Step;
-  track.node_a = 0;
-  track.node_b = 1;
-  track.times = {10.0, 20.0};
-  track.levels = {0.5, 0.8};
-  scn.drift.push_back(track);
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  const std::size_t e01 = topo.edge_index(0, 1);
-  const std::size_t e12 = topo.edge_index(1, 2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 5.0), 0.4);    // before first
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 10.0), 0.2);   // at step
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 15.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 25.0), 0.32);  // last level
-  // Other edges are untouched by an edge-targeted track.
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e12, 0.4, 25.0), 0.4);
+  track.field = field;
+  track.walk_interval = interval;
+  track.walk_step = step;
+  track.walk_min = lo;
+  track.walk_max = hi;
+  return track;
 }
 
-TEST(ScenarioRuntime, RampDriftInterpolatesAndHoldsOutside) {
+TEST(ScenarioRuntime, WalkDriftIsPiecewiseConstantOnItsGrid) {
   const net::Topology topo = net::Topology::chain(2);
   Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::F0;
-  track.kind = DriftKind::Ramp;
-  track.t0 = 10.0;
-  track.t1 = 20.0;
-  track.s0 = 1.0;
-  track.s1 = 0.5;
-  scn.drift.push_back(track);  // fabric-wide (node_a = node_b = -1)
+  scn.drift.push_back(walk(DriftField::PSucc, 10.0, 0.3));
   scn.validate(topo);
 
   ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 0.0), 0.99);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 15.0), 0.99 * 0.75);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 100.0), 0.99 * 0.5);
+  rt.begin_trial(scn, topo, 3);
+  // Scale 1 until the first grid point, then one level per grid step.
+  EXPECT_DOUBLE_EQ(rt.effective_p_succ(0.4, 0.0), 0.4);
+  EXPECT_DOUBLE_EQ(rt.effective_p_succ(0.4, 9.99), 0.4);
+  bool moved = false;
+  for (double k = 1.0; k < 20.0; k += 1.0) {
+    const double level = rt.effective_p_succ(0.4, 10.0 * k);
+    EXPECT_EQ(rt.effective_p_succ(0.4, 10.0 * k + 9.99), level) << "k=" << k;
+    if (level != 0.4) moved = true;
+  }
+  EXPECT_TRUE(moved) << "a walk with a nonzero step never moved";
 }
 
 TEST(ScenarioRuntime, EffectiveValuesAreClampedIntoDomain) {
   const net::Topology topo = net::Topology::chain(2);
   Scenario scn;
-  DriftTrack up;
-  up.field = DriftField::PSucc;
-  up.kind = DriftKind::Step;
-  up.times = {0.0};
-  up.levels = {10.0};
-  DriftTrack down = up;
-  down.field = DriftField::F0;
-  down.levels = {0.01};
-  scn.drift = {up, down};
+  // Walks pinned by their clamp: scale 10 and 0.01 from the first step on.
+  scn.drift = {walk(DriftField::PSucc, 1.0, 0.0, 10.0, 10.0),
+               walk(DriftField::F0, 1.0, 0.0, 0.01, 0.01)};
   scn.validate(topo);
 
   ScenarioRuntime rt;
   rt.begin_trial(scn, topo, 1);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(0, 0.4, 1.0), 1.0);   // clamped up
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 1.0), 0.25);     // clamped down
+  EXPECT_DOUBLE_EQ(rt.effective_p_succ(0.4, 1.0), 1.0);  // clamped up
+  EXPECT_DOUBLE_EQ(rt.effective_f0(0.99, 1.0), 0.25);    // clamped down
 }
 
 TEST(ScenarioRuntime, RandomWalkIsSeedDeterministicAndBounded) {
   const net::Topology topo = net::Topology::chain(2);
   Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::PSucc;
-  track.kind = DriftKind::RandomWalk;
-  track.walk_interval = 5.0;
-  track.walk_step = 0.3;
-  track.walk_min = 0.5;
-  track.walk_max = 1.5;
+  const DriftTrack track = walk(DriftField::PSucc, 5.0, 0.3);
   scn.drift.push_back(track);
   scn.validate(topo);
 
@@ -118,15 +94,15 @@ TEST(ScenarioRuntime, RandomWalkIsSeedDeterministicAndBounded) {
   c.begin_trial(scn, topo, 8);
   bool any_different_seed_diff = false;
   for (double t = 0.0; t < 200.0; t += 5.0) {
-    const double pa = a.effective_p_succ(0, 0.4, t);
-    EXPECT_EQ(pa, b.effective_p_succ(0, 0.4, t)) << "t=" << t;
+    const double pa = a.effective_p_succ(0.4, t);
+    EXPECT_EQ(pa, b.effective_p_succ(0.4, t)) << "t=" << t;
     EXPECT_GE(pa, 0.4 * track.walk_min);
     EXPECT_LE(pa, 0.4 * track.walk_max);
-    if (pa != c.effective_p_succ(0, 0.4, t)) any_different_seed_diff = true;
+    if (pa != c.effective_p_succ(0.4, t)) any_different_seed_diff = true;
   }
   EXPECT_TRUE(any_different_seed_diff) << "distinct seeds produced one walk";
   // Random access in past time returns the memoized level, not a re-draw.
-  EXPECT_EQ(a.effective_p_succ(0, 0.4, 0.0), b.effective_p_succ(0, 0.4, 0.0));
+  EXPECT_EQ(a.effective_p_succ(0.4, 0.0), b.effective_p_succ(0.4, 0.0));
 }
 
 TEST(ScenarioRuntime, LinkOutageIntervalAndBoundaries) {
@@ -203,42 +179,6 @@ TEST(ScenarioRuntime, RandomFailuresAreSeedDeterministicAndHonorHorizon) {
   EXPECT_FALSE(b.next_boundary(t).has_value());
 }
 
-TEST(ScenarioRuntime, CalibrationSnapshotScalesIncidentEdgesOnly) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  scn.snapshots.push_back({1, 10.0, 0.5, 0.9});
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  const std::size_t e01 = topo.edge_index(0, 1);
-  const std::size_t e12 = topo.edge_index(1, 2);
-  const std::size_t e23 = topo.edge_index(2, 3);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 5.0), 0.4);  // not yet
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 10.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e12, 0.4, 12.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e23, 0.4, 12.0), 0.4);  // not incident
-  EXPECT_DOUBLE_EQ(rt.effective_f0(e01, 0.99, 12.0), 0.99 * 0.9);
-}
-
-TEST(ScenarioRuntime, BurstDownsExplicitEdgesTogether) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  FailureBurst burst;
-  burst.start = 3.0;
-  burst.duration = 2.0;
-  burst.edges = {{0, 1}, {2, 3}};
-  scn.bursts.push_back(burst);
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(0, 1), 4.0));
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(2, 3), 4.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(1, 2), 4.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(0, 1), 5.0));
-}
-
 // ------------------------------------------------------------ validation ----
 
 TEST(ScenarioValidation, RejectsOutOfDomainSpecs) {
@@ -260,56 +200,18 @@ TEST(ScenarioValidation, RejectsOutOfDomainSpecs) {
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // mismatched step times/levels
-    DriftTrack track;
-    track.kind = DriftKind::Step;
-    track.times = {1.0, 2.0};
-    track.levels = {0.5};
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // non-increasing step times
-    DriftTrack track;
-    track.kind = DriftKind::Step;
-    track.times = {2.0, 2.0};
-    track.levels = {0.5, 0.6};
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // ramp with t1 <= t0
-    DriftTrack track;
-    track.kind = DriftKind::Ramp;
-    track.t0 = 5.0;
-    track.t1 = 5.0;
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
     Scenario scn;  // walk without an interval
-    DriftTrack track;
-    track.kind = DriftKind::RandomWalk;
-    track.walk_interval = 0.0;
-    track.walk_step = 0.1;
-    scn.drift.push_back(track);
+    scn.drift.push_back(walk(DriftField::PSucc, 0.0, 0.1));
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // burst with neither explicit nor random edges
-    FailureBurst burst;
-    burst.start = 1.0;
-    burst.duration = 1.0;
-    scn.bursts.push_back(burst);
+    Scenario scn;  // walk step outside [0, 1)
+    scn.drift.push_back(walk(DriftField::PSucc, 1.0, 1.0));
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // more random edges than the topology has
-    FailureBurst burst;
-    burst.start = 1.0;
-    burst.duration = 1.0;
-    burst.random_edges = 99;
-    scn.bursts.push_back(burst);
+    Scenario scn;  // walk clamp with walk_max < walk_min
+    scn.drift.push_back(walk(DriftField::F0, 1.0, 0.1, 1.0, 0.9));
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
 }
@@ -354,43 +256,12 @@ std::vector<int> four_node_assignment() { return {0, 0, 1, 1, 2, 2, 3, 3}; }
 /// A scenario exercising every component class at once.
 Scenario rich_scenario() {
   Scenario scn;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.node_a = 0;
-  step.node_b = 1;
-  step.times = {40.0, 120.0};
-  step.levels = {0.7, 0.9};
-  scn.drift.push_back(step);
-
-  DriftTrack ramp;
-  ramp.field = DriftField::F0;
-  ramp.kind = DriftKind::Ramp;
-  ramp.t0 = 0.0;
-  ramp.t1 = 300.0;
-  ramp.s0 = 1.0;
-  ramp.s1 = 0.97;
-  scn.drift.push_back(ramp);
-
-  DriftTrack walk;
-  walk.field = DriftField::PSucc;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 25.0;
-  walk.walk_step = 0.15;
-  scn.drift.push_back(walk);
-
+  scn.drift.push_back(walk(DriftField::PSucc, 25.0, 0.15));
+  scn.drift.push_back(walk(DriftField::F0, 40.0, 0.01, 0.97, 1.0));
   scn.link_outages.push_back({1, 2, 60.0, 40.0});
   scn.node_outages.push_back({3, 150.0, 30.0});
-
-  FailureBurst burst;
-  burst.start = 220.0;
-  burst.duration = 25.0;
-  burst.random_edges = 2;
-  scn.bursts.push_back(burst);
-
   scn.random_failures.mtbf = 500.0;
   scn.random_failures.duration = 35.0;
-  scn.snapshots.push_back({2, 90.0, 0.8, 0.99});
   return scn;
 }
 
@@ -420,10 +291,11 @@ TEST(ScenarioDeterminism, ParallelRunsAreBitIdenticalToSerialForEveryDesign) {
 }
 
 TEST(ScenarioDeterminism, NoOpScenarioIsBitIdenticalToNullScenario) {
-  // A scenario whose tracks scale by exactly 1.0 exercises the full
-  // effective-parameter pipeline (provider calls, composed-route folds) and
-  // must still be bit-identical to the stationary engine: base * 1.0 == base
-  // and the provider's fidelity fold mirrors net::compose_route exactly.
+  // A scenario whose walks never step (walk_step = 0) scales by exactly 1.0
+  // but exercises the full effective-parameter pipeline (provider calls,
+  // composed-route folds), so it must still be bit-identical to the
+  // stationary engine: base * 1.0 == base and the provider's fidelity fold
+  // mirrors net::compose_route exactly.
   const Circuit qc = four_node_circuit();
   const std::vector<int> nodes = four_node_assignment();
   ArchConfig null_config;
@@ -432,20 +304,8 @@ TEST(ScenarioDeterminism, NoOpScenarioIsBitIdenticalToNullScenario) {
 
   ArchConfig noop_config = null_config;
   Scenario noop;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.times = {0.0};
-  step.levels = {1.0};
-  noop.drift.push_back(step);
-  DriftTrack ramp;
-  ramp.field = DriftField::F0;
-  ramp.kind = DriftKind::Ramp;
-  ramp.t0 = 0.0;
-  ramp.t1 = 100.0;
-  ramp.s0 = 1.0;
-  ramp.s1 = 1.0;
-  noop.drift.push_back(ramp);
+  noop.drift.push_back(walk(DriftField::PSucc, 10.0, 0.0));
+  noop.drift.push_back(walk(DriftField::F0, 25.0, 0.0));
   noop_config.set_scenario(noop);
 
   for (const DesignKind design : runtime::distributed_designs()) {
@@ -598,12 +458,8 @@ TEST(ScenarioFaults, DriftOnlyScenarioDegradesFidelityWithoutReroutes) {
 
   ArchConfig drifty = base;
   Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::F0;
-  track.kind = DriftKind::Step;
-  track.times = {0.0};
-  track.levels = {0.96};
-  scn.drift.push_back(track);
+  // Pinned by its clamp at 0.96 from the first grid step on.
+  scn.drift.push_back(walk(DriftField::F0, 1.0, 0.0, 0.96, 0.96));
   drifty.set_scenario(scn);
 
   const AggregateResult a =

@@ -91,7 +91,7 @@ TEST(RemoteGates, DistanceStatsFollowTheRouter) {
   EXPECT_EQ(flat.max_hops, 1);
 }
 
-// ------------------------------------------------------------ segmentation ----
+// ----------------------------------------------------------- segmentation ----
 
 TEST(Segmentation, SplitsAtRemoteQuota) {
   const Circuit qc = mixed_circuit();
@@ -175,7 +175,7 @@ TEST(Segmentation, RejectsZeroQuota) {
   EXPECT_THROW(segment_by_remote_gates(placement, 0), PreconditionError);
 }
 
-// ---------------------------------------------------------------- variants ----
+// --------------------------------------------------------------- variants ----
 
 TEST(Variants, OriginalPreservesProgramOrder) {
   const Circuit qc = mixed_circuit();
@@ -323,7 +323,7 @@ TEST(Variants, PolicyNames) {
   EXPECT_STREQ(policy_name(SchedulingPolicy::Alap), "alap");
 }
 
-// ----------------------------------------------------------- adaptive rule ----
+// ---------------------------------------------------------- adaptive rule ----
 
 TEST(AdaptivePolicy, ImplementsPaperThresholds) {
   const AdaptivePolicy policy(4);  // m = 4

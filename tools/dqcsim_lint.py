@@ -42,6 +42,10 @@ Rules (see --list-rules for the one-line summaries):
                    and styles not mixed (<...> vs "..."); blocks are separated
                    by blank lines, Google-style (own header first, then
                    system, then project headers).
+  line-length      no line longer than 80 characters (counted as Unicode
+                   characters, not bytes), the ColumnLimit of .clang-format,
+                   so the limit is enforced where clang-format is not
+                   installed.
 
 Suppressions are explicit and justified, never silent:
 
@@ -142,6 +146,9 @@ def scope_headers(relpath):
 
 def scope_hygiene(relpath):
     return _top_dir(relpath) in ("src", "bench", "tests")
+
+
+MAX_LINE_CHARS = 80  # .clang-format ColumnLimit
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +360,16 @@ def check_include_order(path, lines, raw_lines):
     return out
 
 
+def check_line_length(path, lines, raw_lines):
+    # Raw lines: comments and literals count toward the column limit too.
+    # Files are decoded as UTF-8, so len() counts characters, not bytes.
+    return [Finding(path, i, "line-length",
+                    f"line is {len(text)} characters (limit "
+                    f"{MAX_LINE_CHARS})")
+            for i, text in enumerate(raw_lines, start=1)
+            if len(text) > MAX_LINE_CHARS]
+
+
 RULES = [
     ("no-nondet-rand", scope_nondet_rand, check_nondet_rand,
      "ban rand()/srand()/std::random_device/<random> engines"),
@@ -368,6 +385,8 @@ RULES = [
      "headers must start with #pragma once"),
     ("include-order", scope_hygiene, check_include_order,
      "includes sorted per block, system/project styles not mixed"),
+    ("line-length", scope_hygiene, check_line_length,
+     f"no line longer than {MAX_LINE_CHARS} characters"),
 ]
 
 RULE_IDS = {r[0] for r in RULES}
