@@ -91,8 +91,8 @@ void add_kernel(bench::BenchReport& report, const std::string& name,
   r.items_per_s = 1e9 / cell.ns_per_run;
   r.counters = {{"depth_mean", cell.agg.depth.mean()},
                 {"fidelity_mean", cell.agg.fidelity.mean()},
-                {"max_edge_load_mean", cell.agg.max_edge_load.mean()},
-                {"events_mean", cell.agg.events.mean()}};
+                {"max_edge_load_mean", cell.agg.max_edge_load.mean()}};
+  bench::add_work_counters(r.counters, cell.agg);
   report.add(std::move(r));
   (void)runs;
 }

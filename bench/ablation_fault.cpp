@@ -137,8 +137,8 @@ int main() {
             {"avg_remote_wait_p50", agg.avg_remote_wait.quantile(0.5)},
             {"avg_remote_wait_p99", agg.avg_remote_wait.quantile(0.99)},
             {"depth_mean", agg.depth.mean()},
-            {"fidelity_mean", agg.fidelity.mean()},
-            {"events_mean", agg.events.mean()}};
+            {"fidelity_mean", agg.fidelity.mean()}};
+        bench::add_work_counters(r.counters, agg);
         if (nodes == 16) {
           r.counters.emplace_back("truncated_mean", agg.truncated.mean());
         }
@@ -202,8 +202,8 @@ int main() {
                       {"pairs_discarded_mean", agg.pairs_discarded.mean()},
                       {"outage_downtime_mean", agg.outage_downtime.mean()},
                       {"depth_mean", agg.depth.mean()},
-                      {"fidelity_mean", agg.fidelity.mean()},
-                      {"events_mean", agg.events.mean()}};
+                      {"fidelity_mean", agg.fidelity.mean()}};
+        bench::add_work_counters(r.counters, agg);
         report.add(std::move(r));
 
         stable.add_row({name, TablePrinter::fmt(static_cast<int>(mtbf)),

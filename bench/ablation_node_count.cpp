@@ -48,7 +48,7 @@ int main() {
             agg = runtime::run_design(qc, part.assignment, config,
                                       runtime::DesignKind::AsyncBuf, runs);
           });
-      r.counters = {{"events_mean", agg.events.mean()}};
+      r.counters = bench::work_counters({&agg, 1});
       table.add_row({benchmark_name(id), TablePrinter::fmt(nodes),
                      TablePrinter::fmt(placement.num_remote_2q),
                      TablePrinter::fmt(agg.depth.mean(), 1),

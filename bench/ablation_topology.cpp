@@ -85,7 +85,7 @@ int main() {
               agg = runtime::run_design(qc, part.assignment, config,
                                         runtime::DesignKind::AsyncBuf, runs);
             });
-        r.counters = {{"events_mean", agg.events.mean()}};
+        r.counters = bench::work_counters({&agg, 1});
 
         table.add_row(
             {benchmark_name(id), name, TablePrinter::fmt(nodes),

@@ -6,7 +6,9 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_report.hpp"
@@ -27,14 +29,34 @@ inline int runs_from_env() {
   return kRuns;
 }
 
-/// Mean DES events per trial over `aggregates` (equal run counts each): the
-/// `events_mean` work counter every engine sweep cell reports.
-inline double events_mean(
-    const std::vector<runtime::AggregateResult>& aggregates) {
-  double sum = 0.0;
-  for (const auto& agg : aggregates) sum += agg.events.mean();
-  return aggregates.empty() ? 0.0
-                            : sum / static_cast<double>(aggregates.size());
+/// The work counters every engine sweep cell reports, as means per trial
+/// over `aggregates` (equal run counts each): DES events, generation
+/// attempts and successes, and generation windows walked one at a time.
+inline std::vector<std::pair<std::string, double>> work_counters(
+    std::span<const runtime::AggregateResult> aggregates) {
+  using runtime::AggregateResult;
+  static constexpr std::pair<const char*, Accumulator AggregateResult::*>
+      kCounters[] = {{"events_mean", &AggregateResult::events},
+                     {"attempts_mean", &AggregateResult::epr_attempts},
+                     {"successes_mean", &AggregateResult::epr_successes},
+                     {"windows_walked_mean",
+                      &AggregateResult::gen_windows_walked}};
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& [name, member] : kCounters) {
+    double sum = 0.0;
+    for (const auto& agg : aggregates) sum += (agg.*member).mean();
+    out.emplace_back(name, aggregates.empty()
+                               ? 0.0
+                               : sum / static_cast<double>(aggregates.size()));
+  }
+  return out;
+}
+
+/// Append the work counters of one cell to `counters`.
+inline void add_work_counters(
+    std::vector<std::pair<std::string, double>>& counters,
+    const runtime::AggregateResult& agg) {
+  for (auto& c : work_counters({&agg, 1})) counters.push_back(std::move(c));
 }
 
 /// Evaluate `designs` on one configuration through the batched matrix API:
@@ -61,7 +83,7 @@ inline std::vector<runtime::AggregateResult> run_designs_timed(
   KernelResult& r = report.time_section(
       section, static_cast<std::size_t>(runs) * designs.size(),
       [&] { out = run_designs(qc, assignment, config, designs, runs); });
-  r.counters = {{"events_mean", events_mean(out)}};
+  r.counters = work_counters(out);
   return out;
 }
 

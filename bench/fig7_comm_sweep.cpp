@@ -44,7 +44,7 @@ int main() {
         aggregates = runtime::run_design_matrix(qc, part.assignment, points,
                                                 bench::kRuns);
       });
-  r.counters = {{"events_mean", bench::events_mean(aggregates)}};
+  r.counters = bench::work_counters(aggregates);
 
   // Rows read (design, config) back from the points grid itself, so the
   // result pairing cannot drift from the order the matrix was built in.

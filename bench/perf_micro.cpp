@@ -186,7 +186,9 @@ void BM_TeleportGadgetExact(benchmark::State& state) {
     benchmark::DoNotOptimize(f);
   }
 }
-BENCHMARK(BM_TeleportGadgetExact);
+// A 1 ms kernel whose single-run wall time varies by more than the gate's
+// 25% on a shared host: it is gated on the median of five repetitions.
+BENCHMARK(BM_TeleportGadgetExact)->Repetitions(5)->ReportAggregatesOnly();
 
 void BM_TeleportModelEval(benchmark::State& state) {
   const noise::TeleportFidelityModel model{noise::TeleportNoiseParams{}};
@@ -291,6 +293,43 @@ void BM_RunContextTrialChain8(benchmark::State& state) {
   run_steady_state_trials(state, qc, part.assignment, config);
 }
 BENCHMARK(BM_RunContextTrialChain8);
+
+// A Buffered, asynchronous 16-pair generation service whose pool stays
+// full settles one long parked span per iteration, as a saturated link of
+// a chain trial does: whole rounds are counted in bulk. Items are attempt
+// windows; the span is 4096 rounds, and a settle allocates nothing.
+void BM_GenerationServiceParkedSettle(benchmark::State& state) {
+  des::Simulator sim;
+  Rng rng(7);
+  ent::LinkParams lp;
+  lp.num_comm_pairs = 16;
+  lp.buffer_capacity = 2;
+  lp.p_succ = 0.15;  // the success share of a saturated chain(8) trial
+  lp.schedule = ent::AttemptSchedule::Asynchronous;
+  lp.async_subgroups = 4;
+  lp.record_trace = false;
+  ent::GenerationService svc(sim, lp, rng, ent::ServiceMode::Buffered);
+  svc.pre_fill_buffer();
+  svc.start();  // the pool is full: the service parks at once
+  const double span = 4096.0 * lp.cycle_time;
+  // One warm-up settle: the event pool reaches its high-water mark.
+  sim.run_until(sim.now() + span);
+  benchmark::DoNotOptimize(svc.take(ent::ConsumeOrder::FreshestFirst));
+  const std::size_t windows0 = svc.attempts();
+  const std::uint64_t allocs0 = allocs_since(0);
+  for (auto _ : state) {
+    // The pop frees a slot; the next success refills the pool, and the
+    // service stays parked for the rest of the span.
+    sim.run_until(sim.now() + span);
+    benchmark::DoNotOptimize(svc.take(ent::ConsumeOrder::FreshestFirst));
+  }
+  const std::uint64_t allocs = allocs_since(allocs0);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(svc.attempts() - windows0));
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_GenerationServiceParkedSettle);
 
 // End-to-end trial throughput of the experiment driver (one worker): the
 // number the fig5-fig8 sweeps and ablation benches are built from.
@@ -399,11 +438,16 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      // Note: only RT_Iteration runs are exported; the error/skip field is
-      // not consulted (its name changed across google-benchmark versions).
-      if (run.run_type != Run::RT_Iteration) continue;
+      // Note: a kernel is exported from its single run, or, when it is
+      // repeated, from the median of its repetitions under its plain name;
+      // the error/skip field is not consulted (its name changed across
+      // google-benchmark versions).
+      const bool repeated = run.run_type == Run::RT_Aggregate;
+      if (repeated && run.aggregate_name != "median") continue;
+      benchmark::BenchmarkName name = run.run_name;
+      name.repetitions.clear();
       bench::KernelResult k;
-      k.name = run.benchmark_name();
+      k.name = name.str();
       k.iterations = static_cast<double>(run.iterations);
       if (run.iterations > 0) {
         k.ns_per_op = run.real_accumulated_time /

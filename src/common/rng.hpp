@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +48,35 @@ class KeyedStream {
 
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform(std::uint64_t index) const noexcept {
-    return static_cast<double>(mix64(seed_ + index * kGamma) >> 11) *
-           0x1.0p-53;
+    return static_cast<double>(bits(index)) * 0x1.0p-53;
+  }
+
+  /// The 53 random bits behind uniform(index), which is exactly
+  /// bits(index) * 2^-53: the top bits of hash(index).
+  std::uint64_t bits(std::uint64_t index) const noexcept {
+    return hash(index) >> 11;
+  }
+
+  /// All 64 bits of draw `index`.
+  std::uint64_t hash(std::uint64_t index) const noexcept {
+    return mix64(seed_ + index * kGamma);
+  }
+
+  /// Integer form of a probability: bits(k) < threshold(p) exactly when
+  /// uniform(k) < p, for every double p (NaN included), so a Bernoulli
+  /// draw costs one integer compare. Scaling by 2^53 is exact below 1, and
+  /// for an integer b, b < x exactly when b < ceil(x).
+  static std::uint64_t threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// Full-width form of threshold(p) for p > 0: hash(k) <= hash_ceiling(p)
+  /// exactly when bits(k) < threshold(p), which saves a shift per draw.
+  /// At p >= 1 it wraps to 2^64 - 1, and every draw is below it.
+  static std::uint64_t hash_ceiling(double p) noexcept {
+    return (threshold(p) << 11) - 1;
   }
 
  private:

@@ -67,6 +67,16 @@ bool BufferPool::deposit(des::SimTime now, double f0) {
   return true;
 }
 
+bool BufferPool::reject(des::SimTime now, std::size_t n) {
+  // With no deposit or pop in between, expiry only shrinks the pool as
+  // time advances, so a pool full at the last refused deposit was full at
+  // every earlier one.
+  expire_until(now);
+  if (count_ < capacity_) return false;
+  rejected_ += n;
+  return true;
+}
+
 // DQCSIM_HOT
 std::optional<BufferedPair> BufferPool::pop_oldest(des::SimTime now) {
   expire_until(now);

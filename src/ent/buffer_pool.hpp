@@ -78,6 +78,12 @@ class BufferPool {
   /// a waste) when the pool is full.
   bool deposit(des::SimTime now, double f0);
 
+  /// Count `n` deposits refused by a full pool, the last of them at `now`,
+  /// as n deposit() calls that each return false would (a parked
+  /// generation service settling its wasted successes in bulk). Returns
+  /// false, counting nothing, when the pool is not full at `now`.
+  bool reject(des::SimTime now, std::size_t n);
+
   /// Store a pair at the pool's configured f0 — the stationary-fabric case.
   bool deposit(des::SimTime now) { return deposit(now, f0_); }
 

@@ -1,6 +1,7 @@
 #include "ent/generation_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -10,6 +11,7 @@ namespace dqcsim::ent {
 
 namespace {
 constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 GenerationService::GenerationService(des::Simulator& sim,
@@ -44,12 +46,9 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   cursor_ = Window{};
   chain_active_ = false;
   parked_ = false;
-  attempts_ = 0;
-  successes_ = 0;
-  wasted_buffer_full_ = 0;
+  settled_ = Tally{};
   wasted_unconsumed_ = 0;
-  last_success_ = 0.0;
-  max_delivery_gap_ = 0.0;
+  windows_walked_ = 0;
 }
 
 double GenerationService::offset_of(int pair_index) const {
@@ -72,7 +71,8 @@ void GenerationService::start() {
   // only *stored* from start() on, which keeps the buffered designs
   // distinct from init_buf's pre-filled buffer.
   start_time_ = sim_.now();
-  last_success_ = start_time_;
+  settled_.last_success = start_time_;
+  hash_ceiling_ = KeyedStream::hash_ceiling(params_.p_succ);
   const std::uint64_t key = rng_();
 
   // Slots: pairs sorted by first completion (stable in the pair index), so
@@ -171,7 +171,7 @@ GenerationService::Outcome GenerationService::evaluate(const Window& w,
     return {eff.up, eff.up && streams_[w.slot].uniform(w.round) < eff.p_succ,
             eff.f0, eff.stable_until};
   } else {
-    return {true, streams_[w.slot].uniform(w.round) < params_.p_succ,
+    return {true, streams_[w.slot].hash(w.round) <= hash_ceiling_,
             params_.f0, 0.0};
   }
 }
@@ -185,13 +185,12 @@ GenerationService::Outcome GenerationService::evaluate(const Window& w,
   // inside the bounds skip the per-window time check (slot times increase
   // within a round).
   const auto slots = static_cast<std::uint32_t>(first_.size());
-  const double p_succ = params_.p_succ;
   std::size_t n = 0;
   while (n < max) {
     const std::size_t rest = slots - w.slot;
     if (rest <= max - n && time_of(Window{w.round, slots - 1}) <= until) {
       for (std::uint32_t s = w.slot; s < slots; ++s) {
-        if (streams_[s].uniform(w.round) < p_succ) {
+        if (streams_[s].hash(w.round) <= hash_ceiling_) {
           n += s - w.slot;
           w.slot = s;
           return n;
@@ -204,7 +203,7 @@ GenerationService::Outcome GenerationService::evaluate(const Window& w,
     }
     for (; w.slot < slots; ++w.slot, ++n) {
       if (n >= max || time_of(w) > until ||
-          streams_[w.slot].uniform(w.round) < p_succ) {
+          streams_[w.slot].hash(w.round) <= hash_ceiling_) {
         return n;
       }
     }
@@ -214,38 +213,107 @@ GenerationService::Outcome GenerationService::evaluate(const Window& w,
   return n;
 }
 
-GenerationService::Tally GenerationService::tally() const {
-  if (!running_) {
-    return {attempts_, successes_, wasted_buffer_full_, last_success_,
-            max_delivery_gap_};
+// DQCSIM_HOT
+GenerationService::Bulk GenerationService::count_rounds(Window& w,
+                                                        double lag,
+                                                        double limit,
+                                                        Tally& out) const {
+  // Successes are counted per group of up to 64 slots, from a mask built
+  // without branches. Groups (and rounds) are disjoint in time and visited
+  // in time order, so the gaps between successes are those from the last
+  // success before a group to its first one, plus the ones inside it; the
+  // latter are at most the group's span (first to last success) and are
+  // visited only when that span could raise the running max.
+  const auto slots = static_cast<std::uint32_t>(first_.size());
+  const double cycle = params_.cycle_time;
+  const std::uint64_t ceiling = hash_ceiling_;
+  Bulk bulk;
+  for (;; ++w.round) {
+    // time_of's arithmetic, so times match the walk's bit for bit.
+    const double base = static_cast<double>(w.round) * cycle;
+    if (!(start_time_ + (first_[slots - 1] + base) + lag < limit)) break;
+    bulk.windows += slots;
+    for (std::uint32_t group = 0; group < slots; group += 64) {
+      const std::uint32_t end = std::min(slots, group + 64);
+      // Bit s - group of the mask is slot s's outcome; shifting in from
+      // the last slot keeps the loop free of variable shifts.
+      std::uint64_t mask = 0;
+      std::size_t hits = 0;
+      for (std::uint32_t s = end; s-- > group;) {
+        const bool hit = streams_[s].hash(w.round) <= ceiling;
+        mask = (mask << 1) | static_cast<std::uint64_t>(hit);
+        hits += static_cast<std::size_t>(hit);
+      }
+      if (mask == 0) continue;
+      bulk.successes += hits;
+      const auto time_at = [&](int bit) {
+        const std::uint32_t s = group + static_cast<std::uint32_t>(bit);
+        return start_time_ + (first_[s] + base);
+      };
+      const double first = time_at(std::countr_zero(mask));
+      const double last = time_at(63 - std::countl_zero(mask));
+      out.record_success(first);
+      if (out.max_gap < last - first) {
+        for (std::uint64_t m = mask & (mask - 1); m != 0; m &= m - 1) {
+          out.record_success(time_at(std::countr_zero(m)));
+        }
+      }
+      out.last_success = last;
+    }
   }
+  out.attempts += bulk.windows;
+  out.successes += bulk.successes;
+  return bulk;
+}
+
+GenerationService::Tally GenerationService::tally() const {
+  if (!running_) return settled_;
   return provider_ ? tally_from_cursor<true>() : tally_from_cursor<false>();
 }
 
 template <bool kProvider>
 GenerationService::Tally GenerationService::tally_from_cursor() const {
-  Tally out{attempts_, successes_, wasted_buffer_full_, last_success_,
-            max_delivery_gap_};
+  Tally out = settled_;
   const des::SimTime now = sim_.now();
   // Parked deposits are wasted once strictly in the past (a wake at now
   // would still replay one landing at now).
   const bool parked_region =
       parked_ && !chain_active_ && mode_ == ServiceMode::Buffered;
   Window w = cursor_;
-  for (double t = time_of(w); t <= now; advance(w), t = time_of(w)) {
-    if constexpr (!kProvider) {
-      out.attempts += skip_failures(w, now, kNoLimit);
-      t = time_of(w);
-      if (t > now) break;
+  // Up to `max` windows in time order, none completing after now.
+  const auto walk = [&](std::size_t max) {
+    for (double t = time_of(w); max > 0 && t <= now;
+         --max, advance(w), t = time_of(w)) {
+      if constexpr (!kProvider) {
+        const std::size_t skipped = skip_failures(w, now, max);
+        out.attempts += skipped;
+        max -= skipped;
+        t = time_of(w);
+        if (max == 0 || t > now) break;
+      }
+      const Outcome o = evaluate<kProvider>(w, t);
+      if (!o.up) continue;
+      ++out.attempts;
+      if (!o.success) continue;
+      ++out.successes;
+      out.record_success(t);
+      if (parked_region && t + params_.swap_latency < now) ++out.wasted;
     }
-    const Outcome o = evaluate<kProvider>(w, t);
-    if (!o.up) continue;
-    ++out.attempts;
-    if (!o.success) continue;
-    ++out.successes;
-    out.max_gap = std::max(out.max_gap, t - out.last_success);
-    out.last_success = t;
-    if (parked_region && t + params_.swap_latency < now) ++out.wasted;
+  };
+  if constexpr (kProvider) {
+    walk(kNoLimit);
+  } else {
+    // The ragged first round, whole rounds in bulk, then the rest.
+    walk(w.slot == 0 ? 0 : first_.size() - w.slot);
+    if (w.slot == 0) {
+      if (parked_region) {
+        out.wasted +=
+            count_rounds(w, params_.swap_latency, now, out).successes;
+      } else {
+        count_rounds(w, 0.0, std::nextafter(now, kInf), out);
+      }
+    }
+    walk(kNoLimit);
   }
   return out;
 }
@@ -318,6 +386,7 @@ void GenerationService::scan_windows() {
   }
   chain_active_ = true;
   chain_end_ = w;
+  windows_walked_ += windows;
   run_windows_ = windows;
   run_attempts_ = attempts;
   batch_ = batch;
@@ -366,9 +435,9 @@ void GenerationService::on_run_event(std::uint32_t ticket, double t,
 }
 
 void GenerationService::settle_run() {
-  attempts_ += run_attempts_ + batch_;
-  successes_ += batch_;
-  if (batch_ > 0) record_success(batch_time_);
+  settled_.attempts += run_attempts_ + batch_;
+  settled_.successes += batch_;
+  if (batch_ > 0) settled_.record_success(batch_time_);
   if (obs_trace_ != nullptr && run_windows_ > 0) {
     obs_trace_->span_counts(obs::Ev::Skip, obs_track_, run_t0_, run_t1_,
                             run_windows_, batch_);
@@ -416,44 +485,82 @@ void GenerationService::settle_windows(double until, bool stopping) {
   double pending_t = 0.0;
   double pending_f0 = 0.0;
   Window w = cursor_;
-  for (double t = time_of(w); t <= until; advance(w), t = time_of(w)) {
-    if constexpr (!kProvider) {
-      const std::size_t skipped = skip_failures(w, until, kNoLimit);
-      attempts_ += skipped;
-      if (parked_) park_windows_ += skipped;
-      t = time_of(w);
-      if (t > until) break;
+  // Up to `max` windows in time order, none completing after `until`.
+  const auto walk = [&](std::size_t max) {
+    for (double t = time_of(w); max > 0 && t <= until;
+         --max, advance(w), t = time_of(w)) {
+      if constexpr (!kProvider) {
+        const std::size_t skipped = skip_failures(w, until, max);
+        settled_.attempts += skipped;
+        windows_walked_ += skipped;
+        if (parked_) park_windows_ += skipped;
+        max -= skipped;
+        t = time_of(w);
+        if (max == 0 || t > until) break;
+      }
+      const Outcome o = evaluate<kProvider>(w, t);
+      ++windows_walked_;
+      if (parked_) ++park_windows_;
+      if (!o.up) continue;
+      ++settled_.attempts;
+      if (!o.success) continue;
+      ++settled_.successes;
+      settled_.record_success(t);
+      if (parked_) ++park_successes_;
+      if (mode_ == ServiceMode::Buffered &&
+          t + params_.swap_latency < until) {
+        // Only a parked service leaves deposits behind the clock, and its
+        // pool was full at every one of them.
+        const bool stored =
+            buffer_.deposit(t + params_.swap_latency, o.f0);
+        DQCSIM_ENSURES(!stored);
+        ++settled_.wasted;
+        continue;
+      }
+      if (mode_ == ServiceMode::OnDemand && stopping) {
+        ++wasted_unconsumed_;
+        continue;
+      }
+      if (pending > 0 && t != pending_t) {
+        schedule_replay(pending_t, pending, pending_f0);
+        pending = 0;
+      }
+      if (pending == 0) {
+        pending_t = t;
+        pending_f0 = o.f0;
+      }
+      ++pending;
     }
-    const Outcome o = evaluate<kProvider>(w, t);
-    if (parked_) ++park_windows_;
-    if (!o.up) continue;
-    ++attempts_;
-    if (!o.success) continue;
-    ++successes_;
-    record_success(t);
-    if (parked_) ++park_successes_;
-    if (mode_ == ServiceMode::Buffered &&
-        t + params_.swap_latency < until) {
-      // Only a parked service leaves deposits behind the clock, and its
-      // pool was full at every one of them.
-      const bool stored = buffer_.deposit(t + params_.swap_latency, o.f0);
-      DQCSIM_ENSURES(!stored);
-      ++wasted_buffer_full_;
-      continue;
+  };
+  if constexpr (kProvider) {
+    walk(kNoLimit);
+  } else {
+    // The ragged first round is walked; then every whole round whose
+    // successes are all wasted (deposits before `until`, or offers at a
+    // stop) is counted in bulk; the rest, which can replay, is walked.
+    walk(w.slot == 0 ? 0 : first_.size() - w.slot);
+    if (w.slot == 0 && (mode_ == ServiceMode::Buffered || stopping)) {
+      const bool buffered = mode_ == ServiceMode::Buffered;
+      const Bulk bulk =
+          buffered
+              ? count_rounds(w, params_.swap_latency, until, settled_)
+              : count_rounds(w, 0.0, std::nextafter(until, kInf), settled_);
+      if (parked_) {
+        park_windows_ += bulk.windows;
+        park_successes_ += bulk.successes;
+      }
+      if (buffered) {
+        settled_.wasted += bulk.successes;
+        if (bulk.successes > 0) {
+          const bool full = buffer_.reject(
+              settled_.last_success + params_.swap_latency, bulk.successes);
+          DQCSIM_ENSURES(full);
+        }
+      } else {
+        wasted_unconsumed_ += bulk.successes;
+      }
     }
-    if (mode_ == ServiceMode::OnDemand && stopping) {
-      ++wasted_unconsumed_;
-      continue;
-    }
-    if (pending > 0 && t != pending_t) {
-      schedule_replay(pending_t, pending, pending_f0);
-      pending = 0;
-    }
-    if (pending == 0) {
-      pending_t = t;
-      pending_f0 = o.f0;
-    }
-    ++pending;
+    walk(kNoLimit);
   }
   if (pending > 0) schedule_replay(pending_t, pending, pending_f0);
   cursor_ = w;
@@ -479,7 +586,7 @@ void GenerationService::land(std::uint32_t n, double f0) {
       if (params_.record_trace) trace_.record(at);
       if (handler_) handler_(at);
     } else {
-      ++wasted_buffer_full_;
+      ++settled_.wasted;
     }
   }
   if (running_ && !parked_ && buffer_.full(at)) park();

@@ -48,6 +48,17 @@
 ///    would. On that wake at time W, parked successes whose deposit falls
 ///    before W are wasted (the pool was full), and those depositing at or
 ///    after W are replayed as deposit events.
+///  - Bulk settle: on a stationary fabric (no provider), settling windows
+///    up to W (at a wake, a stop() or a counter read) walks in time order
+///    only the ragged first round and the rounds holding a deposit at or
+///    after W, the windows that can replay an event. Every whole round in
+///    between, whose deposits all land before W (at a stop(), for an
+///    OnDemand service, every round completing by W), is counted in bulk:
+///    a branch-free success mask per round (per 64 pairs) from the
+///    integer form of u < p_succ (KeyedStream::hash_ceiling), its
+///    popcount for the success and waste counters, and max_delivery_gap
+///    from each mask's first and last success. A provider's windows, and
+///    scans, are always walked. windows_walked() counts the windows walked.
 ///
 /// Semantics fixed by these rules:
 ///
@@ -216,6 +227,10 @@ class GenerationService {
   std::size_t wasted_buffer_full() const { return tally().wasted; }
   /// OnDemand-mode successes with no consumer at the heralding instant.
   std::size_t wasted_unconsumed() const noexcept { return wasted_unconsumed_; }
+  /// Work counter: windows the service has evaluated one at a time in time
+  /// order (scans and the walked parts of settles, see the file comment).
+  /// Counter reads walk unsettled windows without counting them here.
+  std::size_t windows_walked() const noexcept { return windows_walked_; }
 
   /// Longest gap between consecutive successful generations so far,
   /// extended to `now` for the open interval since the last success (the
@@ -241,13 +256,24 @@ class GenerationService {
     double f0 = 0.0;
     double stable_until = 0.0;
   };
-  /// Counters as of sim.now() (settled ones plus windows not yet settled).
+  /// Window counters: the settled ones, or as of sim.now() (settled ones
+  /// plus windows not yet settled).
   struct Tally {
     std::size_t attempts = 0;
     std::size_t successes = 0;
-    std::size_t wasted = 0;
+    std::size_t wasted = 0;  ///< wasted_buffer_full
     double last_success = 0.0;
-    double max_gap = 0.0;
+    double max_gap = 0.0;  ///< see max_delivery_gap
+
+    void record_success(double at) noexcept {
+      max_gap = std::max(max_gap, at - last_success);
+      last_success = at;
+    }
+  };
+  /// Windows and successes one bulk count covered.
+  struct Bulk {
+    std::size_t windows = 0;
+    std::size_t successes = 0;
   };
 
   double time_of(const Window& w) const noexcept {
@@ -269,6 +295,13 @@ class GenerationService {
   /// success, at the first window completing after `until`, or after `max`
   /// windows. Returns how many windows it passed (all attempts).
   std::size_t skip_failures(Window& w, double until, std::size_t max) const;
+  /// Stationary fabric only, `w` at the start of a round: count whole
+  /// rounds into `out` without walking them, for as long as every window t
+  /// of the round has t + lag < limit, and move `w` past them. Successes
+  /// come from one integer compare per window; max_gap from each slot
+  /// group's first and last success, visiting the successes between them
+  /// only while the running max is below their span.
+  Bulk count_rounds(Window& w, double lag, double limit, Tally& out) const;
   /// Completion time of the window before `w` (w must not be the first).
   double time_before(Window w) const noexcept {
     if (w.slot == 0) {
@@ -298,10 +331,6 @@ class GenerationService {
   void offer(double t, std::uint32_t n);
   void park();
   void unpark();
-  void record_success(des::SimTime at) noexcept {
-    max_delivery_gap_ = std::max(max_delivery_gap_, at - last_success_);
-    last_success_ = at;
-  }
 
   des::Simulator& sim_;
   LinkParams params_;
@@ -323,6 +352,10 @@ class GenerationService {
   des::SimTime start_time_ = 0.0;
   std::vector<double> first_;         ///< first completion offset
   std::vector<KeyedStream> streams_;  ///< u(p, .) of the slot's pair
+  /// KeyedStream::hash_ceiling(p_succ): a stationary window k of a slot
+  /// succeeds iff the slot stream's hash(k) <= hash_ceiling_, which is
+  /// exactly uniform(k) < p_succ.
+  std::uint64_t hash_ceiling_ = 0;
 
   /// First window not yet settled into the counters below.
   Window cursor_;
@@ -349,14 +382,9 @@ class GenerationService {
   std::size_t park_successes_ = 0;
 
   // Settled counters.
-  std::size_t attempts_ = 0;
-  std::size_t successes_ = 0;
-  std::size_t wasted_buffer_full_ = 0;
+  Tally settled_;
   std::size_t wasted_unconsumed_ = 0;
-
-  // Success-drought tracking (see max_delivery_gap).
-  des::SimTime last_success_ = 0.0;
-  double max_delivery_gap_ = 0.0;
+  std::size_t windows_walked_ = 0;
 };
 
 }  // namespace dqcsim::ent

@@ -37,7 +37,7 @@ Router::Router(const Topology& topo, const std::vector<double>& edge_costs,
 
 void Router::build(const std::vector<double>& edge_costs,
                    const std::vector<char>* edge_enabled) {
-  topo_.validate();
+  // A built Topology is valid (topology.hpp), so it is not re-checked here.
   const int n = topo_.num_nodes();
   const auto un = static_cast<std::size_t>(n);
   routes_.assign(un * un, Route{});

@@ -1679,6 +1679,7 @@ struct RunContext::State {
         for (const auto& svc : edge_services) {
           result.epr_attempts += svc->attempts();
           result.epr_successes += svc->successes();
+          result.gen_windows_walked += svc->windows_walked();
           result.epr_consumed += svc->buffer().total_consumed();
           result.epr_wasted += svc->wasted_buffer_full();
           result.epr_expired += svc->buffer().total_expired();
@@ -1688,6 +1689,7 @@ struct RunContext::State {
           const auto& service = *link.service;
           result.epr_attempts += service.attempts();
           result.epr_successes += service.successes();
+          result.gen_windows_walked += service.windows_walked();
           result.epr_consumed +=
               service.buffer().total_consumed() +
               (service.mode() == ent::ServiceMode::OnDemand

@@ -29,6 +29,9 @@ void AggregateResult::add(const RunResult& run) {
   pairs_discarded.add(static_cast<double>(run.pairs_discarded));
   truncated.add(run.truncated ? 1.0 : 0.0);
   events.add(static_cast<double>(run.events));
+  epr_attempts.add(static_cast<double>(run.epr_attempts));
+  epr_successes.add(static_cast<double>(run.epr_successes));
+  gen_windows_walked.add(static_cast<double>(run.gen_windows_walked));
 }
 
 }  // namespace dqcsim::runtime

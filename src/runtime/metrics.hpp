@@ -22,6 +22,9 @@ struct RunResult {
 
   // Entanglement accounting.
   std::size_t remote_gates = 0;
+  /// Attempt windows and successes over every generation service of the
+  /// trial. Aggregated as `attempts_mean` / `successes_mean` in bench
+  /// reports.
   std::size_t epr_attempts = 0;
   std::size_t epr_successes = 0;
   std::size_t epr_consumed = 0;
@@ -96,6 +99,12 @@ struct RunResult {
   /// work counter behind a trial's wall time. Aggregated as `events_mean`
   /// in bench reports.
   std::size_t events = 0;
+  /// Generation windows evaluated one at a time in time order
+  /// (ent::GenerationService::windows_walked, summed over services); the
+  /// rest of the attempts were counted in bulk. The work counter behind the
+  /// generation share of a trial's wall time. Aggregated as
+  /// `windows_walked_mean` in bench reports.
+  std::size_t gen_windows_walked = 0;
 };
 
 /// Streaming aggregate over repeated runs (the paper averages 50).
@@ -128,6 +137,9 @@ struct AggregateResult {
   /// Fraction of runs that hit the trial sim-time budget (mean of 0/1).
   Accumulator truncated;
   Accumulator events;
+  Accumulator epr_attempts;
+  Accumulator epr_successes;
+  Accumulator gen_windows_walked;
 
   /// Fold one run into the aggregate.
   void add(const RunResult& run);

@@ -54,6 +54,9 @@ inline void expect_identical(const runtime::AggregateResult& a,
       {&AggregateResult::pairs_discarded, "pairs_discarded"},
       {&AggregateResult::truncated, "truncated"},
       {&AggregateResult::events, "events"},
+      {&AggregateResult::epr_attempts, "epr_attempts"},
+      {&AggregateResult::epr_successes, "epr_successes"},
+      {&AggregateResult::gen_windows_walked, "gen_windows_walked"},
   };
   // A new AggregateResult field must be added to the list above.
   static_assert(sizeof(AggregateResult) ==

