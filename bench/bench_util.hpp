@@ -59,6 +59,21 @@ inline void add_work_counters(
   for (auto& c : work_counters({&agg, 1})) counters.push_back(std::move(c));
 }
 
+/// Pin one design cell of a paper figure: a report entry named
+/// `<section>/<design>` carrying the cell's depth, fidelity and wasted-pair
+/// means. It has no timing of its own (ns_per_op 0); the section's entry
+/// times the sweep.
+inline void add_design_cell(BenchReport& report, const std::string& section,
+                            runtime::DesignKind design,
+                            const runtime::AggregateResult& agg) {
+  KernelResult r;
+  r.name = section + "/" + runtime::design_name(design);
+  r.counters = {{"depth_mean", agg.depth.mean()},
+                {"fidelity_mean", agg.fidelity.mean()},
+                {"epr_wasted_mean", agg.epr_wasted.mean()}};
+  report.add(std::move(r));
+}
+
 /// Evaluate `designs` on one configuration through the batched matrix API:
 /// all design x seed cells share one thread pool, so the whole sweep runs
 /// at full machine width. Element i corresponds to designs[i].

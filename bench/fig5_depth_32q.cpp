@@ -34,6 +34,8 @@ int main() {
       double depth_mean = ideal, ci = 0.0, wasted = 0.0;
       if (design != runtime::DesignKind::IdealMono) {
         const auto& agg = aggregates[next++];
+        bench::add_design_cell(report, "fig5/" + benchmark_name(id), design,
+                               agg);
         depth_mean = agg.depth.mean();
         ci = agg.depth.ci95_half_width();
         wasted = agg.epr_wasted.mean();

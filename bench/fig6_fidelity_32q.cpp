@@ -34,6 +34,8 @@ int main() {
       double fid = ideal, age = 0.0;
       if (design != runtime::DesignKind::IdealMono) {
         const auto& agg = aggregates[next++];
+        bench::add_design_cell(report, "fig6/" + benchmark_name(id), design,
+                               agg);
         fid = agg.fidelity.mean();
         age = agg.avg_pair_age.mean();
       }

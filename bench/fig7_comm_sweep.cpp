@@ -53,6 +53,8 @@ int main() {
     const auto& agg = aggregates[i];
     const int comm = point.config.comm_per_node;
     const double ideal = runtime::ideal_depth(qc, point.config);
+    bench::add_design_cell(report, "fig7/comm=" + std::to_string(comm),
+                           point.design, agg);
     table.add_row({TablePrinter::fmt(comm), design_name(point.design),
                    TablePrinter::fmt(agg.depth.mean(), 1),
                    TablePrinter::fmt(agg.depth.mean() / ideal, 2),

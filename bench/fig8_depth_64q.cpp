@@ -36,6 +36,8 @@ int main() {
       double depth = ideal, ci = 0.0;
       if (design != runtime::DesignKind::IdealMono) {
         const auto& agg = aggregates[next++];
+        bench::add_design_cell(report, "fig8/" + benchmark_name(id), design,
+                               agg);
         depth = agg.depth.mean();
         ci = agg.depth.ci95_half_width();
       }

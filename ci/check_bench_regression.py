@@ -36,7 +36,10 @@ re-pinned baseline must satisfy them too:
 * on every chain swap-as-you-go pair, "salvage=on" has a strictly lower
   depth_mean than "salvage=off" (ablation_fault);
 * for every star route count k, "star8/routes=k/shared" has a depth_mean at
-  least that of "star8/routes=k/independent" (ablation_congestion).
+  least that of "star8/routes=k/independent" (ablation_congestion);
+* on every Fig. 5 benchmark, the paper's design order holds for depth_mean:
+  "fig5/<bench>/original" > "sync_buf" > "async_buf" > "init_buf"
+  (fig5_depth_32q).
 
 Multiple current reports are merged before comparison, so one baseline file
 can gate perf_micro micro-kernels and the smoke-run sweep sections of other
@@ -84,6 +87,18 @@ def check_relations(current):
 
     failures = []
     for name in sorted(current):
+        if name.startswith("fig5/") and name.endswith("/async_buf"):
+            prefix = name[: -len("async_buf")]
+            order = ["original", "sync_buf", "async_buf", "init_buf"]
+            for deeper, shallower in zip(order, order[1:]):
+                hi, lo = depth(prefix + deeper), depth(prefix + shallower)
+                if hi is None or lo is None:
+                    failures.append(f"relation: {prefix + deeper} or"
+                                    f" {prefix + shallower} has no depth_mean")
+                elif not lo < hi:
+                    failures.append(f"relation: {prefix + shallower}"
+                                    f" depth_mean {lo!r} is not below"
+                                    f" {prefix + deeper} {hi!r}")
         if "/chain/" in name and name.endswith("/swapgo/salvage=on"):
             off_name = name[: -len("on")] + "off"
             on, off = depth(name), depth(off_name)

@@ -29,6 +29,7 @@ BASE_COUNTERS = {
 
 SALVAGE = "QAOA-r8-32/chain/nodes=8/mtbf=400/swapgo/salvage="
 STAR = "star8/routes=4/"
+FIG5 = "fig5/QFT-32/"
 
 
 def report(counters, replay_format=1, cells=None):
@@ -101,7 +102,9 @@ def main():
         assert "depth_mean" not in err, err
 
         ok_cells = {SALVAGE + "off": 900.0, SALVAGE + "on": 500.0,
-                    STAR + "independent": 120.0, STAR + "shared": 120.0}
+                    STAR + "independent": 120.0, STAR + "shared": 120.0,
+                    FIG5 + "original": 900.0, FIG5 + "sync_buf": 300.0,
+                    FIG5 + "async_buf": 250.0, FIG5 + "init_buf": 200.0}
         code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=ok_cells)
         assert code == 0, f"relations that hold must pass:\n{err}"
 
@@ -114,6 +117,21 @@ def main():
         shared_faster[STAR + "shared"] = 119.0  # below independent
         code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=shared_faster)
         assert code == 1 and "routes=4/shared depth_mean" in err, err
+
+        # Each adjacent pair of the Fig. 5 design order fails on its own.
+        for shallower, deeper in (("sync_buf", "original"),
+                                  ("async_buf", "sync_buf"),
+                                  ("init_buf", "async_buf")):
+            swapped = dict(ok_cells)
+            swapped[FIG5 + shallower] = ok_cells[FIG5 + deeper]  # a tie
+            code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=swapped)
+            assert code == 1, f"{shallower} tied with {deeper} must fail"
+            assert f"{FIG5 + shallower} depth_mean" in err, err
+
+        no_init = dict(ok_cells)
+        del no_init[FIG5 + "init_buf"]
+        code, err = run_gate(tmp, dict(BASE_COUNTERS), cells=no_init)
+        assert code == 1 and "has no depth_mean" in err, err
 
     print("check_bench_regression self-test: ok")
 
