@@ -504,8 +504,11 @@ struct RunContext::State {
                      const ArchConfig& cfg, DesignKind d,
                      std::uint64_t fingerprint) {
     key.valid = false;
-    owned_model.reset();
-    state_model.reset();
+    // The teleported-gate models depend on the fidelities alone.
+    if (!same_fidelities(key.fid, cfg.fid)) {
+      owned_model.reset();
+      state_model.reset();
+    }
 
     if (d != DesignKind::IdealMono) {
       sched::classify_gates(c, assignment, placement);
