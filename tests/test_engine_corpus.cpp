@@ -45,7 +45,7 @@ using runtime::ArchConfig;
 using runtime::DesignKind;
 using runtime::RunResult;
 
-constexpr std::size_t kCases = 240;
+constexpr std::size_t kCases = 1000;
 constexpr std::uint64_t kCorpusSeed = 0xC0A9005;
 constexpr const char* kTablePath = DQCSIM_TEST_DATA_DIR "/engine_corpus.txt";
 
