@@ -45,10 +45,9 @@ int main() {
       tele.local_1q_fidelity = config.fid.one_qubit;
       tele.readout_fidelity = config.fid.measurement;
       const noise::TeleportFidelityModel model(tele);
-      runtime::ExecutionEngine probe(qc, part.assignment, config,
-                                     runtime::DesignKind::InitBuf, 424242,
-                                     &model);
-      const auto one = probe.run();
+      const auto one = runtime::RunContext().execute(
+          qc, part.assignment, config, runtime::DesignKind::InitBuf, 424242,
+          &model);
 
       const auto agg =
           runtime::run_design(qc, part.assignment, config,

@@ -206,9 +206,12 @@ void BM_EngineRunQaoaR8_32(benchmark::State& state) {
   const runtime::ArchConfig config;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    runtime::ExecutionEngine engine(qc, part.assignment, config,
-                                    runtime::DesignKind::AsyncBuf, ++seed);
-    benchmark::DoNotOptimize(engine.run().depth);
+    // A fresh workspace per trial: the one-shot cost, setup included.
+    runtime::RunContext ctx;
+    benchmark::DoNotOptimize(
+        ctx.execute(qc, part.assignment, config,
+                    runtime::DesignKind::AsyncBuf, ++seed)
+            .depth);
   }
 }
 BENCHMARK(BM_EngineRunQaoaR8_32);

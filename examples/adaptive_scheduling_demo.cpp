@@ -67,10 +67,10 @@ int main() {
   config.segment_size = m;
   TablePrinter results({"seed", "depth", "fidelity", "ASAP segs",
                         "ALAP segs", "original segs"});
+  runtime::RunContext ctx;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    runtime::ExecutionEngine engine(qc, assignment, config,
-                                    runtime::DesignKind::AdaptBuf, seed);
-    const auto r = engine.run();
+    const auto r = ctx.execute(qc, assignment, config,
+                               runtime::DesignKind::AdaptBuf, seed);
     results.add_row({TablePrinter::fmt(static_cast<std::size_t>(seed)),
                      TablePrinter::fmt(r.depth, 1),
                      TablePrinter::fmt(r.fidelity, 3),

@@ -193,44 +193,22 @@ struct RunContext::State {
   std::vector<int> link_of_pair;  // [a * num_nodes + b] -> index or -1
 
   // --- routing cache (topology-backed interconnects) ------------------------
-  // Rebuilt only when its inputs change, so consecutive same-configuration
-  // trials route with zero allocation. Not part of the setup key: routing
-  // depends on link parameters (p_succ sweeps), which the setup cache
-  // deliberately ignores.
-
-  /// The scalar configuration slice that, together with the (immutable,
-  /// pinned) topology, fully determines per-edge parameters, edge costs,
-  /// and routes — so a trial's cache-hit test is one memberwise compare.
-  struct RouteInputs {
-    DesignKind design = DesignKind::AsyncBuf;
-    int comm_per_node = 0;
-    int buffer_per_node = 0;
-    double p_succ = 0.0;
-    double epr_cycle = 0.0;
-    double swap_buffer = 0.0;
-    double f0 = 0.0;
-    double kappa = 0.0;
-    double cutoff = 0.0;
-    int async_subgroups = 0;
-    bool consume_freshest = false;
-    bool record_trace = true;
-    net::SwapParams swap;
-
-    friend bool operator==(const RouteInputs&,
-                           const RouteInputs&) = default;
-  };
-
+  // Keyed on what it stores: the (immutable, pinned) topology and the
+  // per-edge link parameters, which determine edge costs and routes. Not
+  // part of the setup key: routing depends on link parameters (p_succ
+  // sweeps), which the setup cache deliberately ignores.
   struct RouteCache {
     bool valid = false;
     /// Shared ownership pins the cached topology's address, so the pointer
     /// comparison in refresh_routing can never alias a recycled object.
     std::shared_ptr<const net::Topology> topology;
-    RouteInputs inputs;
     std::vector<ent::LinkParams> edge_params;  ///< per topology edge
     std::vector<double> edge_costs;
     net::Router router;
   };
   RouteCache route_cache;
+  std::vector<ent::LinkParams> trial_edge_params;  ///< this trial's, reused
+  net::SwapParams swap;                            ///< this trial's swaps
 
   // --- shared-capacity / swap-as-you-go machinery (opt-in ArchConfig
   // knobs). Trial-scoped; every container is reused across trials so the
@@ -244,6 +222,9 @@ struct RunContext::State {
   /// (every topology edge generates continuously — unrouted edges waste
   /// their successes into a full buffer, which is what idle hardware does).
   std::vector<std::unique_ptr<ent::GenerationService>> edge_services;
+  /// The services this trial started: the per-edge pool under
+  /// swap-as-you-go, else the per-link services.
+  std::vector<ent::GenerationService*> running;
   /// Links whose current route crosses each edge, in link creation order:
   /// the deterministic arbitration order for pairs deposited on that edge.
   std::vector<std::vector<int>> links_on_edge;
@@ -409,25 +390,17 @@ struct RunContext::State {
     if (obs_trace) trace_buf.span(obs::Ev::Outage, track, since, t);
   }
 
-  /// End-of-trial observation: close outage intervals still open at the
-  /// makespan, fold the trial's result counters into the registry, export
-  /// the traced trial, and merge this worker's accumulation into the
-  /// shared collector (then reset it — registrations and capacity stay).
+  /// End-of-trial observation: close physical-edge outage spans still
+  /// open at the makespan (logical-link ones close in do_run), fold the
+  /// trial's result counters into the registry, export the traced trial,
+  /// and merge this worker's accumulation into the shared collector (then
+  /// reset it — registrations and capacity stay).
   void finish_observation() {
-    if (scen_active) {
-      for (const auto& link : links) {
-        if (!link.route_up) {
-          obs_outage_over(link_track(link), link.down_since,
-                          std::max(link.down_since, makespan));
-        }
-      }
-      if (obs_trace) {
-        for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
-          if (!scen_edge_up[e]) {
-            trace_buf.span(obs::Ev::Outage, edge_track(e),
-                           edge_down_since[e],
-                           std::max(edge_down_since[e], makespan));
-          }
+    if (scen_active && obs_trace) {
+      for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
+        if (!scen_edge_up[e]) {
+          trace_buf.span(obs::Ev::Outage, edge_track(e), edge_down_since[e],
+                         std::max(edge_down_since[e], makespan));
         }
       }
     }
@@ -444,13 +417,8 @@ struct RunContext::State {
       reg.add(regh.events, result.events);
       if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
       reg.gauge_max(regh.makespan_max, makespan);
-      const auto note_gap = [&](const ent::GenerationService& svc) {
-        reg.gauge_max(regh.max_delivery_gap, svc.max_delivery_gap(sim.now()));
-      };
-      if (use_swap_go) {
-        for (const auto& svc : edge_services) note_gap(*svc);
-      } else {
-        for (const auto& link : links) note_gap(*link.service);
+      for (const ent::GenerationService* svc : running) {
+        reg.gauge_max(regh.max_delivery_gap, svc->max_delivery_gap(sim.now()));
       }
       observe->collector.merge_registry(reg);
       reg.reset_values();
@@ -688,6 +656,7 @@ struct RunContext::State {
     for (auto& link : links) link.pending.clear();
     use_swap_go = false;
     use_shared_caps = false;
+    running.clear();
 
     ledger = noise::FidelityLedger{};
     result = RunResult{};
@@ -697,43 +666,31 @@ struct RunContext::State {
   }
 
   /// Bring the routing cache up to date with the current trial's topology
-  /// and link parameters. A cache hit (consecutive trials of one sweep
-  /// cell) is one scalar compare and performs no allocation; a miss
-  /// re-derives per-edge parameters, edge costs and all-pairs routes.
+  /// and per-edge link parameters. A cache hit (consecutive trials of one
+  /// sweep cell) derives and compares the edge parameters without
+  /// allocating; a miss adopts them and rebuilds edge costs and all-pairs
+  /// routes.
   void refresh_routing() {
-    RouteInputs inputs;
-    inputs.design = design;
-    inputs.comm_per_node = config.comm_per_node;
-    inputs.buffer_per_node = config.buffer_per_node;
-    inputs.p_succ = config.p_succ;
-    inputs.epr_cycle = config.lat.epr_cycle;
-    inputs.swap_buffer = config.lat.swap_buffer;
-    inputs.f0 = config.fid.epr_f0;
-    inputs.kappa = config.kappa;
-    inputs.cutoff = config.buffer_cutoff;
-    inputs.async_subgroups = config.async_subgroups;
-    inputs.consume_freshest = config.consume_freshest;
-    inputs.record_trace = config.record_arrival_trace;
-    inputs.swap = config.swap_params();
+    const net::Topology& topo = *config.topology;
+    const std::size_t num_edges = topo.num_edges();
+    trial_edge_params.resize(num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      const net::TopologyEdge& edge = topo.edge(e);
+      trial_edge_params[e] = config.link_params(design, edge.a, edge.b);
+    }
     if (route_cache.valid && route_cache.topology == config.topology &&
-        route_cache.inputs == inputs) {
+        route_cache.edge_params == trial_edge_params) {
       if (obs_metrics()) reg.add(regh.route_hits);
       return;
     }
     if (obs_metrics()) reg.add(regh.route_misses);
     OBS_SCOPE(prof(), obs::Phase::Routing);
-    const net::Topology& topo = *config.topology;
-    const std::size_t num_edges = topo.num_edges();
     route_cache.valid = false;
     route_cache.topology = config.topology;
-    route_cache.inputs = inputs;
-    route_cache.edge_params.resize(num_edges);
+    route_cache.edge_params.swap(trial_edge_params);
     route_cache.edge_costs.resize(num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {
-      const net::TopologyEdge& edge = topo.edge(e);
-      const ent::LinkParams p =
-          config.link_params(design, edge.a, edge.b);
-      route_cache.edge_params[e] = p;
+      const ent::LinkParams& p = route_cache.edge_params[e];
       // Expected time per delivered pair: attempt window over the link's
       // aggregate success rate.
       route_cache.edge_costs[e] =
@@ -766,7 +723,7 @@ struct RunContext::State {
     eff.p_succ = p;
     eff.f0 = net::swap_composed_fidelity(
         scen_hop_f0.data(), scen_hop_f0.size(),
-        route_cache.inputs.swap.bsm_fidelity);
+        swap.bsm_fidelity);
     // The route can change at the next boundary (update_link_route).
     eff.stable_until = scen_next_boundary;
     return eff;
@@ -812,14 +769,19 @@ struct RunContext::State {
         // The stock kept across the re-plan is re-credited to the new
         // route's budget instead of rotting against the dead path.
         // (Swap-as-you-go keeps its stock on the per-edge services and
-        // counts salvage when try_serve_pending_swap drains it.)
+        // counts salvage when try_serve_pending drains it.)
         result.pairs_salvaged += link.service->buffer().size(t);
       }
-      link.route_edges.assign(route.edges.begin(), route.edges.end());
-      link.hops = route.hops();
-      link.extra_latency = static_cast<double>(link.hops - 1) *
-                           route_cache.inputs.swap.latency;
+      adopt_route(link, route);
     }
+  }
+
+  /// Point a logical link at `route`: its physical edges, hop count and
+  /// per-gate swap-chain delay.
+  void adopt_route(LinkState& link, const net::Route& route) {
+    link.route_edges.assign(route.edges.begin(), route.edges.end());
+    link.hops = route.hops();
+    link.extra_latency = static_cast<double>(link.hops - 1) * swap.latency;
   }
 
   /// Recompute the edge up/down mask at boundary time `t` and re-route
@@ -879,9 +841,7 @@ struct RunContext::State {
       // once against the new routes. With salvage_pairs this same pass
       // is the salvage drain — links whose routes were just severed
       // consume their pre-outage stock here, in creation order.
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        try_serve_pending_swap(i);
-      }
+      for (auto& link : links) try_serve_pending(link);
     }
     if (any_lost) ++result.outage_events;
   }
@@ -954,14 +914,13 @@ struct RunContext::State {
           hop_comm = hop_comm_scratch.data();
           hop_buf = hop_buf_scratch.data();
         }
-        const net::RoutedLink rl = net::compose_route_shared(
-            route, route_cache.edge_params, route_cache.inputs.swap,
-            hop_comm, hop_buf);
-        link.service->reset(rl.params, mode);
-        link.hops = rl.hops;
-        link.extra_latency = rl.extra_latency;
+        link.service->reset(
+            net::compose_route_shared(route, route_cache.edge_params, swap,
+                                      hop_comm, hop_buf)
+                .params,
+            mode);
+        adopt_route(link, route);
         if (scen_active) {
-          link.route_edges.assign(route.edges.begin(), route.edges.end());
           link.route_up = true;
           link.down_since = 0.0;
           link.service->set_effective_provider(
@@ -990,6 +949,7 @@ struct RunContext::State {
       }
       if (design_uses_prefill(design)) link.service->pre_fill_buffer();
       link.service->start();
+      running.push_back(link.service.get());
     }
   }
 
@@ -1021,12 +981,7 @@ struct RunContext::State {
       }
     }
     for (auto& link : links) {
-      const net::Route& route =
-          route_cache.router.route(link.node_a, link.node_b);
-      link.hops = route.hops();
-      link.extra_latency = static_cast<double>(link.hops - 1) *
-                           route_cache.inputs.swap.latency;
-      link.route_edges.assign(route.edges.begin(), route.edges.end());
+      adopt_route(link, route_cache.router.route(link.node_a, link.node_b));
       link.route_up = true;
       link.down_since = 0.0;
     }
@@ -1056,16 +1011,8 @@ struct RunContext::State {
       }
       if (design_uses_prefill(design)) svc.pre_fill_buffer();
       svc.start();
+      running.push_back(&svc);
     }
-  }
-
-  /// True when every edge buffer along `edges` holds the full pair quota.
-  bool edges_ready(const std::vector<std::size_t>& edges,
-                   std::size_t needed) {
-    for (const std::size_t e : edges) {
-      if (edge_services[e]->buffer().size(sim.now()) < needed) return false;
-    }
-    return true;
   }
 
   /// Salvage eligibility of a severed route: every endpoint node along it
@@ -1081,25 +1028,64 @@ struct RunContext::State {
     return true;
   }
 
-  /// Swap-as-you-go service of one link's queued remote gates: assemble an
-  /// end-to-end pair by popping one buffered pair per hop of the link's
-  /// route and fusing them at the intermediate nodes *now*. Each hop pair
-  /// decays from its own deposit instant; the fused pair is born at the
-  /// assembly instant, so it reaches the consuming gate fresh. Without a
-  /// full quota on every hop the request waits for the next deposit.
+  // A link's buffered pairs come from its own (composed) service, or under
+  // swap-as-you-go from the edge services along its route: pairs_ready and
+  // take_pair are the only two places that tell the sources apart.
+
+  /// True when every pair source of `link` holds the quota `needed`. Stops
+  /// at the first short hop (a buffer read expires pairs).
+  bool pairs_ready(const LinkState& link, std::size_t needed) {
+    if (!use_swap_go) return link.service->buffer().size(sim.now()) >= needed;
+    for (const std::size_t e : link.route_edges) {
+      if (edge_services[e]->buffer().size(sim.now()) < needed) return false;
+    }
+    return true;
+  }
+
+  /// Take one end-to-end pair for `link` now and return its fidelity. Under
+  /// swap-as-you-go it is assembled from one buffered pair per hop, fused
+  /// at the intermediate nodes now: each hop pair decays from its own
+  /// deposit instant, and the fused pair is born at this instant, so it
+  /// reaches the consuming gate fresh.
+  double take_pair(LinkState& link, ent::ConsumeOrder order) {
+    if (!use_swap_go) return take_decayed(*link.service, order);
+    hop_fid_scratch.clear();
+    for (const std::size_t e : link.route_edges) {
+      hop_fid_scratch.push_back(take_decayed(*edge_services[e], order));
+    }
+    return net::swap_composed_fidelity(
+        hop_fid_scratch.data(), hop_fid_scratch.size(), swap.bsm_fidelity);
+  }
+
+  /// Pop one pair from `svc` now and return its fidelity after Werner decay
+  /// over its buffer dwell at the service's own kappa (recording the age).
+  double take_decayed(ent::GenerationService& svc, ent::ConsumeOrder order) {
+    const auto pair = svc.take(order);
+    DQCSIM_ENSURES(pair.has_value());
+    const double age = sim.now() - pair->deposited;
+    pair_age_acc.add(age);
+    obs_pair_age(age);
+    return noise::werner_decayed_fidelity(pair->f0, svc.params().kappa, age);
+  }
+
+  /// Serve a link's queued remote gates from buffered pairs. A gate is
+  /// served only when every pair source holds its full quota, so a
+  /// two-pair gate cannot strand a half-claimed pair decaying outside the
+  /// cutoff policy's reach. OnDemand links never buffer a pair, so they
+  /// are left to on_demand_arrival.
   ///
   /// Mid-flight pair salvage (config.salvage_pairs): a link whose whole
-  /// route was severed may still drain hop pairs buffered *before* the
-  /// outage along its last route, provided every node on it survives —
-  /// the gate completes on pre-outage stock instead of stalling for the
-  /// repair window. Links salvage in creation order (the boundary loop in
-  /// apply_scen_boundary), the same arbitration rule deposits follow.
-  void try_serve_pending_swap(std::size_t link_index) {
-    LinkState& link = links[link_index];
-    const bool salvaging = !link.route_up;
-    if (salvaging && !(config.salvage_pairs && scen_active &&
-                       !link.route_edges.empty() &&
-                       salvage_nodes_up(link.route_edges, sim.now()))) {
+  /// route was severed serves from stock buffered before the outage. In
+  /// the composed model that is accounting only. Under swap-as-you-go the
+  /// hop pairs along its last route can be drained only while every node
+  /// on it is up, and only by salvage; links salvage in creation order
+  /// (the boundary loop in apply_scen_boundary), the same arbitration rule
+  /// deposits follow.
+  void try_serve_pending(LinkState& link) {
+    const bool salvaging =
+        scen_active && config.salvage_pairs && !link.route_up;
+    if (use_swap_go && !link.route_up &&
+        !(salvaging && salvage_nodes_up(link.route_edges, sim.now()))) {
       return;
     }
     const auto order = config.consume_freshest
@@ -1107,75 +1093,66 @@ struct RunContext::State {
                            : ent::ConsumeOrder::OldestFirst;
     const auto needed =
         static_cast<std::size_t>(config.pairs_per_remote_gate());
-    const std::size_t path_hops = link.route_edges.size();
-    while (!link.pending.empty() && edges_ready(link.route_edges, needed)) {
-      PendingRemote& req = link.pending.front();
-      req.num_births = 0;
+    while (!link.pending.empty() && pairs_ready(link, needed)) {
+      scratch_raw.clear();
       for (std::size_t i = 0; i < needed; ++i) {
-        hop_fid_scratch.clear();
-        for (const std::size_t e : link.route_edges) {
-          auto pair = edge_services[e]->take(order);
-          DQCSIM_ENSURES(pair.has_value());
-          const double age = sim.now() - pair->deposited;
-          pair_age_acc.add(age);
-          obs_pair_age(age);
-          hop_fid_scratch.push_back(noise::werner_decayed_fidelity(
-              pair->f0, route_cache.edge_params[e].kappa, age));
-        }
-        req.births[req.num_births] = sim.now();
-        req.birth_f0[req.num_births] = net::swap_composed_fidelity(
-            hop_fid_scratch.data(), hop_fid_scratch.size(),
-            route_cache.inputs.swap.bsm_fidelity);
-        ++req.num_births;
+        scratch_raw.push_back(take_pair(link, order));
       }
+      // Each consumed end-to-end pair carried hops - 1 entanglement swaps.
+      result.entanglement_swaps +=
+          static_cast<std::size_t>(link.hops - 1) * needed;
       if (salvaging) result.pairs_salvaged += needed;
-      result.entanglement_swaps += (path_hops - 1) * needed;
       if (obs_trace) {
-        trace_buf.instant(obs::Ev::SwapAssemble, link_track(link), sim.now());
+        if (use_swap_go) {
+          trace_buf.instant(obs::Ev::SwapAssemble, link_track(link),
+                            sim.now());
+        }
         if (salvaging) {
           trace_buf.instant(obs::Ev::Salvage, link_track(link), sim.now());
         }
       }
-      // The assembled pairs are born at this instant, so decay over
-      // [birth, now] is the identity: the fused fidelities feed
-      // purification directly.
-      scratch_raw.clear();
-      for (std::size_t i = 0; i < req.num_births; ++i) {
-        scratch_raw.push_back(req.birth_f0[i]);
-      }
-      const auto* logical = maybe_purify(scratch_raw);
-      if (logical == nullptr) {
-        req.num_births = 0;  // hop pairs lost; the gate retries
-        continue;
-      }
-      const std::size_t gate = req.gate;
-      remote_wait_acc.add(sim.now() - req.ready_at);
-      route_hops_acc.add(static_cast<double>(path_hops));
-      const double extra_delay =
-          static_cast<double>(path_hops - 1) *
-              route_cache.inputs.swap.latency +
-          (config.purify_on_consume ? kPurificationLatency : 0.0);
-      obs_remote_served(
-          link, req.ready_at, static_cast<double>(path_hops),
-          extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-      link.pending.pop_front();
-      // start_remote_gate reads *logical before any re-entrant serve (via
-      // segment pumping) can clobber the scratch buffers it points into.
-      start_remote_gate(gate, *logical, extra_delay);
+      // A failed purification loses the pairs; the head gate retries (the
+      // sources shrank, so this loop terminates).
+      serve_head(link, scratch_raw);
     }
+  }
+
+  /// Start the link's head gate from its raw pair fidelities: purify,
+  /// record the wait and hops, dequeue, start. Returns false, leaving the
+  /// gate queued, when purification failed.
+  bool serve_head(LinkState& link, const std::vector<double>& raw) {
+    const std::vector<double>* logical = maybe_purify(raw);
+    if (logical == nullptr) return false;
+    const std::size_t gate = link.pending.front().gate;
+    const double ready_at = link.pending.front().ready_at;
+    remote_wait_acc.add(sim.now() - ready_at);
+    route_hops_acc.add(static_cast<double>(link.hops));
+    const double extra_delay =
+        link.extra_latency +
+        (config.purify_on_consume ? kPurificationLatency : 0.0);
+    obs_remote_served(
+        link, ready_at, static_cast<double>(link.hops),
+        extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
+    // Dequeue before starting: the start can re-enter a serve (segment
+    // pumping), which must see the next gate at the head. start_remote_gate
+    // reads *logical before any such serve can clobber the scratch buffers
+    // it points into.
+    link.pending.pop_front();
+    start_remote_gate(gate, *logical, extra_delay);
+    return true;
   }
 
   /// Deposit on edge `e`: offer the pair to the links crossing it, in link
   /// creation order (the deterministic arbitration rule).
   void on_edge_deposit(std::size_t e) {
     for (const int link_index : links_on_edge[e]) {
-      try_serve_pending_swap(static_cast<std::size_t>(link_index));
+      try_serve_pending(links[static_cast<std::size_t>(link_index)]);
     }
   }
 
   // --- helpers --------------------------------------------------------------
 
-  std::size_t link_index_of_gate(std::size_t g) {
+  LinkState& link_of_gate(std::size_t g) {
     const Gate& gate = circuit->gate(g);
     const int a = key.assignment[static_cast<std::size_t>(gate.q0())];
     const int b = key.assignment[static_cast<std::size_t>(gate.q1())];
@@ -1184,11 +1161,7 @@ struct RunContext::State {
                          static_cast<std::size_t>(config.num_nodes) +
                      static_cast<std::size_t>(b)];
     DQCSIM_ENSURES(idx >= 0);
-    return static_cast<std::size_t>(idx);
-  }
-
-  LinkState& link_of_gate(std::size_t g) {
-    return links[link_index_of_gate(g)];
+    return links[static_cast<std::size_t>(idx)];
   }
 
   /// Buffered pairs currently available across every link (the adaptive
@@ -1307,13 +1280,9 @@ struct RunContext::State {
 
   void on_gate_ready(std::size_t g) {
     if (is_remote(g)) {
-      const std::size_t i = link_index_of_gate(g);
-      links[i].pending.push_back(PendingRemote{g, sim.now(), {}, 0});
-      if (use_swap_go) {
-        try_serve_pending_swap(i);
-      } else {
-        try_serve_pending(links[i]);
-      }
+      LinkState& link = link_of_gate(g);
+      link.pending.push_back(PendingRemote{g, sim.now(), {}, 0});
+      try_serve_pending(link);
     } else {
       start_local_gate(g);
     }
@@ -1470,63 +1439,6 @@ struct RunContext::State {
     }
   }
 
-  /// Serve queued remote gates from a link's buffer (buffered designs). A
-  /// gate is served only when the buffer holds its full pair quota, so a
-  /// two-pair gate cannot strand a half-claimed pair decaying outside the
-  /// cutoff policy's reach.
-  void try_serve_pending(LinkState& link) {
-    if (link.service->mode() != ent::ServiceMode::Buffered) return;
-    const auto order = link.service->params().consume_freshest
-                           ? ent::ConsumeOrder::FreshestFirst
-                           : ent::ConsumeOrder::OldestFirst;
-    const auto needed =
-        static_cast<std::size_t>(config.pairs_per_remote_gate());
-    while (!link.pending.empty() &&
-           link.service->buffer().size(sim.now()) >= needed) {
-      PendingRemote& req = link.pending.front();
-      req.num_births = 0;
-      for (std::size_t i = 0; i < needed; ++i) {
-        auto pair = link.service->take(order);
-        DQCSIM_ENSURES(pair.has_value());
-        req.births[req.num_births] = pair->deposited;
-        req.birth_f0[req.num_births] = pair->f0;
-        ++req.num_births;
-      }
-      // Each consumed end-to-end pair carried hops - 1 entanglement swaps.
-      result.entanglement_swaps +=
-          static_cast<std::size_t>(link.hops - 1) * needed;
-      if (config.salvage_pairs && scen_active && !link.route_up) {
-        // The composed model never discards stock at boundaries, so
-        // salvage here is accounting: pairs buffered before the outage
-        // serving a gate while the route is severed.
-        result.pairs_salvaged += needed;
-        if (obs_trace) {
-          trace_buf.instant(obs::Ev::Salvage, link_track(link), sim.now());
-        }
-      }
-      const auto* logical = maybe_purify(decay_births(link, req));
-      if (logical == nullptr) {
-        // Purification failed: pairs are lost, the gate retries from the
-        // head of the queue (the buffer shrank, so this loop terminates).
-        req.num_births = 0;
-        continue;
-      }
-      const std::size_t gate = req.gate;
-      remote_wait_acc.add(sim.now() - req.ready_at);
-      route_hops_acc.add(static_cast<double>(link.hops));
-      const double extra_delay =
-          link.extra_latency +
-          (config.purify_on_consume ? kPurificationLatency : 0.0);
-      obs_remote_served(
-          link, req.ready_at, static_cast<double>(link.hops),
-          extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-      link.pending.pop_front();
-      // start_remote_gate reads *logical before any re-entrant serve (via
-      // segment pumping) can clobber the scratch buffers it points into.
-      start_remote_gate(gate, *logical, extra_delay);
-    }
-  }
-
   /// OnDemand arrival (bufferless original design): a waiting remote gate
   /// on this link claims the pair at its heralding instant. Multi-pair
   /// gates hold already-claimed pairs on the communication qubits (same
@@ -1543,22 +1455,9 @@ struct RunContext::State {
     if (static_cast<int>(req.num_births) < config.pairs_per_remote_gate()) {
       return true;  // claimed and held; wait for the next herald
     }
-    const auto* logical = maybe_purify(decay_births(link, req));
-    if (logical == nullptr) {
+    if (!serve_head(link, decay_births(link, req))) {
       req.num_births = 0;  // pairs lost; keep collecting
-      return true;
     }
-    const std::size_t gate = req.gate;
-    remote_wait_acc.add(now - req.ready_at);
-    route_hops_acc.add(static_cast<double>(link.hops));
-    const double extra_delay =
-        link.extra_latency +
-        (config.purify_on_consume ? kPurificationLatency : 0.0);
-    obs_remote_served(
-        link, req.ready_at, static_cast<double>(link.hops),
-        extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-    link.pending.pop_front();
-    start_remote_gate(gate, *logical, extra_delay);
     return true;
   }
 
@@ -1585,6 +1484,7 @@ struct RunContext::State {
       use_shared_caps = routed && config.share_edge_capacity;
       ent::LinkParams flat_params;
       if (routed) {
+        swap = config.swap_params();
         refresh_routing();
       } else {
         flat_params = config.link_params(design);
@@ -1645,21 +1545,16 @@ struct RunContext::State {
         // Depth and idling report the budget horizon the trial ran out at.
         makespan = std::max(makespan, budget);
       }
-      if (use_swap_go) {
-        // Per-link services were never started in swap-as-you-go mode; the
-        // running machinery is the per-edge pool.
-        for (auto& svc : edge_services) svc->stop();
-      } else {
-        for (auto& link : links) link.service->stop();
-      }
+      for (ent::GenerationService* svc : running) svc->stop();
 
       // Links still routeless when the last gate completes accrue their
       // downtime up to the makespan (the reported trial duration).
       if (scen_active) {
         for (const auto& link : links) {
-          if (!link.route_up) {
-            result.outage_downtime += std::max(0.0, makespan - link.down_since);
-          }
+          if (link.route_up) continue;
+          result.outage_downtime += std::max(0.0, makespan - link.down_since);
+          obs_outage_over(link_track(link), link.down_since,
+                          std::max(link.down_since, makespan));
         }
       }
 
@@ -1676,32 +1571,20 @@ struct RunContext::State {
       result.fidelity_idling =
           ledger.category_fidelity(noise::FidelityTerm::Idling);
       result.remote_gates = placement.num_remote_2q;
-      if (use_swap_go) {
-        // Entanglement accounting lives on the per-edge pool: a "consumed"
-        // pair here is a single-hop pair drained into an end-to-end fusion.
-        for (const auto& svc : edge_services) {
-          result.epr_attempts += svc->attempts();
-          result.epr_successes += svc->successes();
-          result.gen_windows_walked += svc->windows_walked();
-          result.epr_consumed += svc->buffer().total_consumed();
-          result.epr_wasted += svc->wasted_buffer_full();
-          result.epr_expired += svc->buffer().total_expired();
-        }
-      } else {
-        for (const auto& link : links) {
-          const auto& service = *link.service;
-          result.epr_attempts += service.attempts();
-          result.epr_successes += service.successes();
-          result.gen_windows_walked += service.windows_walked();
-          result.epr_consumed +=
-              service.buffer().total_consumed() +
-              (service.mode() == ent::ServiceMode::OnDemand
-                   ? service.successes() - service.wasted_unconsumed()
-                   : 0);
-          result.epr_wasted +=
-              service.wasted_buffer_full() + service.wasted_unconsumed();
-          result.epr_expired += service.buffer().total_expired();
-        }
+      // Under swap-as-you-go a "consumed" pair is a single-hop pair drained
+      // into an end-to-end fusion.
+      for (const ent::GenerationService* svc : running) {
+        result.epr_attempts += svc->attempts();
+        result.epr_successes += svc->successes();
+        result.gen_windows_walked += svc->windows_walked();
+        result.epr_consumed +=
+            svc->buffer().total_consumed() +
+            (svc->mode() == ent::ServiceMode::OnDemand
+                 ? svc->successes() - svc->wasted_unconsumed()
+                 : 0);
+        result.epr_wasted +=
+            svc->wasted_buffer_full() + svc->wasted_unconsumed();
+        result.epr_expired += svc->buffer().total_expired();
       }
       result.avg_pair_age = pair_age_acc.mean();
       result.avg_remote_wait = remote_wait_acc.mean();
@@ -1725,45 +1608,6 @@ RunResult RunContext::execute(const Circuit& circuit,
                               const noise::TeleportFidelityModel* model) {
   state_->prepare(circuit, assignment, config, design, seed, model);
   return state_->do_run();
-}
-
-struct ExecutionEngine::Impl {
-  RunContext ctx;
-  const Circuit& circuit;
-  std::vector<int> assignment;
-  ArchConfig config;
-  DesignKind design;
-  std::uint64_t seed;
-  const noise::TeleportFidelityModel* model;
-  bool ran = false;
-
-  Impl(const Circuit& c, std::vector<int> a, const ArchConfig& cfg,
-       DesignKind d, std::uint64_t s,
-       const noise::TeleportFidelityModel* m)
-      : circuit(c),
-        assignment(std::move(a)),
-        config(cfg),
-        design(d),
-        seed(s),
-        model(m) {
-    validate_inputs(circuit, assignment, config, design);
-  }
-};
-
-ExecutionEngine::ExecutionEngine(
-    const Circuit& circuit, std::vector<int> assignment,
-    const ArchConfig& config, DesignKind design, std::uint64_t seed,
-    const noise::TeleportFidelityModel* teleport_model)
-    : impl_(std::make_unique<Impl>(circuit, std::move(assignment), config,
-                                   design, seed, teleport_model)) {}
-
-ExecutionEngine::~ExecutionEngine() = default;
-
-RunResult ExecutionEngine::run() {
-  DQCSIM_EXPECTS_MSG(!impl_->ran, "ExecutionEngine::run may be called once");
-  impl_->ran = true;
-  return impl_->ctx.execute(impl_->circuit, impl_->assignment, impl_->config,
-                            impl_->design, impl_->seed, impl_->model);
 }
 
 }  // namespace dqcsim::runtime

@@ -17,16 +17,18 @@
 /// segment, choosing the pre-compiled ASAP/ALAP/original variant from the
 /// live buffer occupancy when each segment is admitted (paper §III-D).
 ///
-/// Two entry points:
-///  - RunContext: a reusable workspace executing one trial per call. All
-///    engine state (event pool, dependency arrays, link services, scratch
-///    buffers, metrics) is reset() instead of reallocated between calls,
-///    and circuit-derived artifacts (gate placement, segment variants,
-///    fusion chains, link topology, teleportation models) are cached while
-///    consecutive calls share a setup — so a Monte-Carlo trial loop does
-///    zero steady-state allocation. Each thread-pool worker owns one.
-///  - ExecutionEngine: the one-shot facade over a private RunContext
-///    (construct, run() once).
+/// Entry point: RunContext, a reusable workspace executing one trial per
+/// call. All engine state (event pool, dependency arrays, link services,
+/// scratch buffers, metrics) is reset() instead of reallocated between
+/// calls, and circuit-derived artifacts (gate placement, segment variants,
+/// fusion chains, link topology, teleportation models) are cached while
+/// consecutive calls share a setup — so a Monte-Carlo trial loop does zero
+/// steady-state allocation. Each thread-pool worker owns one; a one-off
+/// trial is `RunContext().execute(...)`.
+///
+/// Delivery is decided once per trial: per-link (composed) services, or
+/// under swap-as-you-go one service per physical edge. One serve loop
+/// takes a gate's pairs from either source.
 
 #pragma once
 
@@ -53,8 +55,10 @@ class RunContext {
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  /// Execute one trial and return its metrics. Inputs are validated on
-  /// every call; `circuit` and `assignment` must stay alive for the call.
+  /// Execute one trial of `design` with generation randomness `seed` and
+  /// return its metrics. `assignment` maps qubit -> node id (ignored for
+  /// IdealMono). Inputs are validated on every call; `circuit` and
+  /// `assignment` must stay alive for the call.
   ///
   /// \param teleport_model optional pre-built teleported-gate fidelity
   ///        model (must match config fidelities); pass nullptr to build
@@ -68,36 +72,6 @@ class RunContext {
  private:
   struct State;
   std::unique_ptr<State> state_;
-};
-
-/// Single-run execution engine. Construct once per run; `run()` may be
-/// called exactly once.
-class ExecutionEngine {
- public:
-  /// \param circuit     the workload
-  /// \param assignment  qubit -> node id (entries in {0,1}); ignored for
-  ///                    IdealMono
-  /// \param config      architecture parameters (validated here)
-  /// \param design      which of the six designs to simulate
-  /// \param seed        randomness for entanglement generation
-  /// \param teleport_model optional pre-built teleported-gate fidelity
-  ///                    model (must match config fidelities); pass nullptr
-  ///                    to build one internally.
-  ExecutionEngine(const Circuit& circuit, std::vector<int> assignment,
-                  const ArchConfig& config, DesignKind design,
-                  std::uint64_t seed,
-                  const noise::TeleportFidelityModel* teleport_model = nullptr);
-
-  ~ExecutionEngine();
-  ExecutionEngine(const ExecutionEngine&) = delete;
-  ExecutionEngine& operator=(const ExecutionEngine&) = delete;
-
-  /// Execute the circuit to completion and return the run metrics.
-  RunResult run();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace dqcsim::runtime

@@ -209,7 +209,7 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
                                           : part.assignment;
       const std::uint64_t seed = 100 + i;
       const RunResult fresh =
-          ExecutionEngine(qc, assignment, config, design, seed).run();
+          RunContext().execute(qc, assignment, config, design, seed);
       const RunResult ctx = reused.execute(qc, assignment, config, design,
                                            seed);
       expect_identical(ctx, fresh);

@@ -434,8 +434,7 @@ TEST(NetEngine, ExplicitAllToAllIsBitIdenticalToLegacyForEveryDesign) {
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  runtime::ExecutionEngine engine(qc, nodes, config, design, seed);
-  return engine.run();
+  return runtime::RunContext().execute(qc, nodes, config, design, seed);
 }
 
 TEST(NetEngine, ChainMultiHopPaysSwapLatency) {
@@ -526,9 +525,7 @@ TEST(NetEngine, MismatchedTopologyIsRejected) {
   qc.cx(0, 1);
   ArchConfig config;  // num_nodes = 2
   config.set_topology(Topology::ring(4));
-  EXPECT_THROW(
-      runtime::ExecutionEngine(qc, {0, 1}, config, DesignKind::SyncBuf, 1),
-      ConfigError);
+  EXPECT_THROW(run_once(qc, {0, 1}, config, DesignKind::SyncBuf), ConfigError);
 }
 
 TEST(NetEngine, TopologyAwarePartitionRunsEndToEnd) {

@@ -344,8 +344,7 @@ TEST(ScenarioDeterminism, EmptyScenarioShortCircuitsToStationary) {
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  runtime::ExecutionEngine engine(qc, nodes, config, design, seed);
-  return engine.run();
+  return runtime::RunContext().execute(qc, nodes, config, design, seed);
 }
 
 TEST(ScenarioFaults, RingOutageReroutesOverSurvivingPath) {
