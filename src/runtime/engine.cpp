@@ -937,6 +937,8 @@ struct RunContext::State {
         link.service->set_trial_trace(&trace_buf, link_track(link));
       }
       if (mode == ent::ServiceMode::Buffered) {
+        require_pair_quota(link.service->params(), "link", link.node_a,
+                           link.node_b);
         link.service->set_arrival_handler([this, link_ptr](des::SimTime) {
           try_serve_pending(*link_ptr);
           return true;
@@ -951,6 +953,20 @@ struct RunContext::State {
       link.service->start();
       running.push_back(link.service.get());
     }
+  }
+
+  /// A buffered pair source must hold a whole remote gate's pair quota:
+  /// gates are served only on a full quota, so a smaller buffer leaves
+  /// them waiting forever. Throws ConfigError naming the source.
+  void require_pair_quota(const ent::LinkParams& p, const char* kind, int a,
+                          int b) const {
+    const int quota = config.pairs_per_remote_gate();
+    if (p.buffer_capacity >= quota) return;
+    throw ConfigError("ArchConfig: " + std::string(kind) + " " +
+                      std::to_string(a) + "-" + std::to_string(b) +
+                      " buffers " + std::to_string(p.buffer_capacity) +
+                      " pair(s), fewer than the " + std::to_string(quota) +
+                      " a remote gate consumes");
   }
 
   /// Deterministic arbitration index: which links a deposit on each edge
@@ -993,6 +1009,8 @@ struct RunContext::State {
       // buffer per edge, so swap-as-you-go applies to every design.
       ent::LinkParams ep = route_cache.edge_params[e];
       if (!design_uses_buffer(design)) ep.buffer_capacity = 1;
+      const net::TopologyEdge& edge = config.topology->edge(e);
+      require_pair_quota(ep, "edge", edge.a, edge.b);
       svc.reset(ep, ent::ServiceMode::Buffered);
       if (obs_trace) svc.set_trial_trace(&trace_buf, edge_track(e));
       svc.set_arrival_handler([this, e](des::SimTime) {

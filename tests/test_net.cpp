@@ -528,6 +528,47 @@ TEST(NetEngine, MismatchedTopologyIsRejected) {
   EXPECT_THROW(run_once(qc, {0, 1}, config, DesignKind::SyncBuf), ConfigError);
 }
 
+/// The ConfigError message of one run, or "" when it does not throw one.
+std::string config_error(const Circuit& qc, const std::vector<int>& nodes,
+                         const ArchConfig& config, DesignKind design) {
+  try {
+    run_once(qc, nodes, config, design);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NetEngine, PairSourceBelowPairQuotaIsRejected) {
+  // State teleportation consumes two pairs per remote gate, and a gate is
+  // served only on a full quota: a source that buffers fewer pairs would
+  // leave it waiting forever. Links 0-2 and 1-2 both cross edge 1-2.
+  Circuit qc(3);
+  qc.cx(0, 2);
+  qc.cx(1, 2);
+  const std::vector<int> nodes = {0, 1, 2};
+  ArchConfig config;
+  config.num_nodes = 3;
+  config.set_topology(Topology::chain(3));
+  config.remote_impl = runtime::RemoteImpl::StateTeleport;
+  config.buffer_per_node = 4;  // two slots per edge at node 1 (degree 2)
+  EXPECT_EQ(config_error(qc, nodes, config, DesignKind::SyncBuf), "");
+
+  // Sharing edge 1-2 halves its slots for each of the two routes.
+  config.share_edge_capacity = true;
+  EXPECT_NE(config_error(qc, nodes, config, DesignKind::SyncBuf)
+                .find("link 0-2 buffers 1 pair(s)"),
+            std::string::npos);
+
+  // Swap-as-you-go holds a bufferless design's hop pairs in one slot.
+  config.share_edge_capacity = false;
+  config.swap_as_you_go = true;
+  EXPECT_EQ(config_error(qc, nodes, config, DesignKind::SyncBuf), "");
+  EXPECT_NE(config_error(qc, nodes, config, DesignKind::Original)
+                .find("edge 0-1 buffers 1 pair(s)"),
+            std::string::npos);
+}
+
 TEST(NetEngine, TopologyAwarePartitionRunsEndToEnd) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const Topology topo = Topology::ring(8);

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "gen/benchmarks.hpp"
+#include "gen/qft.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/design.hpp"
 #include "runtime/engine.hpp"
@@ -293,6 +294,32 @@ TEST(Engine, BufferedDesignNeedsBufferQubits) {
   EXPECT_THROW(run_once(qc, {0, 1}, config, DesignKind::SyncBuf), ConfigError);
   // The bufferless original design is fine without buffer qubits.
   EXPECT_NO_THROW(run_once(qc, {0, 1}, config, DesignKind::Original));
+}
+
+TEST(Engine, BufferBelowPairQuotaIsRejected) {
+  // State teleportation consumes two pairs per remote gate and a gate is
+  // served only on a full quota, so a one-pair buffer would stall the
+  // trial. With a cutoff the buffer never fills, so the trial would run
+  // forever, or to its budget and return silently truncated.
+  const Circuit qc = gen::make_qft(8);
+  const std::vector<int> nodes = partition_circuit(qc, 2).assignment;
+  ArchConfig config = paper_config();
+  config.comm_per_node = 4;
+  config.buffer_per_node = 1;
+  config.remote_impl = RemoteImpl::StateTeleport;
+  ArchConfig budgeted = config;
+  budgeted.buffer_cutoff = 50.0;
+  budgeted.max_trial_sim_time = 5000.0;
+  for (const DesignKind design : {DesignKind::SyncBuf, DesignKind::AsyncBuf}) {
+    SCOPED_TRACE(design_name(design));
+    EXPECT_THROW(run_once(qc, nodes, config, design), ConfigError);
+    EXPECT_THROW(run_once(qc, nodes, budgeted, design), ConfigError);
+  }
+  // The bufferless original design collects its pairs at heralds.
+  EXPECT_NO_THROW(run_once(qc, nodes, config, DesignKind::Original));
+  config.buffer_per_node = 2;
+  const RunResult whole = run_once(qc, nodes, config, DesignKind::SyncBuf);
+  EXPECT_FALSE(whole.truncated);
 }
 
 TEST(Engine, FidelityDecomposesMultiplicatively) {
