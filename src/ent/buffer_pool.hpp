@@ -63,6 +63,11 @@ class BufferPool {
   /// Pairs currently stored, after expiring per the cutoff at time `now`.
   std::size_t size(des::SimTime now);
 
+  /// Discard (and count as expired) every stored pair older than the
+  /// cutoff at time `now`. Every read and write of the pool does this
+  /// first.
+  void expire_until(des::SimTime now);
+
   /// Pairs stored ignoring the cutoff (cheap, const).
   std::size_t raw_size() const noexcept { return count_; }
 
@@ -108,8 +113,6 @@ class BufferPool {
   std::size_t total_rejected() const noexcept { return rejected_; }
 
  private:
-  void expire_until(des::SimTime now);
-
   std::size_t next(std::size_t i) const noexcept {
     return i + 1 == capacity_ ? 0 : i + 1;
   }

@@ -1591,7 +1591,7 @@ struct RunContext::State {
       result.remote_gates = placement.num_remote_2q;
       // Under swap-as-you-go a "consumed" pair is a single-hop pair drained
       // into an end-to-end fusion.
-      for (const ent::GenerationService* svc : running) {
+      for (ent::GenerationService* svc : running) {
         result.epr_attempts += svc->attempts();
         result.epr_successes += svc->successes();
         result.gen_windows_walked += svc->windows_walked();
@@ -1602,6 +1602,9 @@ struct RunContext::State {
                  : 0);
         result.epr_wasted +=
             svc->wasted_buffer_full() + svc->wasted_unconsumed();
+        // Every pair past its cutoff at the trial's end has expired, not
+        // only those some buffer read happened to observe.
+        svc->buffer().expire_until(makespan);
         result.epr_expired += svc->buffer().total_expired();
       }
       result.avg_pair_age = pair_age_acc.mean();

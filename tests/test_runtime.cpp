@@ -296,6 +296,26 @@ TEST(Engine, BufferedDesignNeedsBufferQubits) {
   EXPECT_NO_THROW(run_once(qc, {0, 1}, config, DesignKind::Original));
 }
 
+TEST(Engine, EveryPairPastItsCutoffCountsAsExpired) {
+  // p_succ = 1 and one comm pair: a pair lands every 10 units from t = 11.
+  // The first serves the CX; the h chain then holds qubit 0 until
+  // 12 + 1060 * 0.1 = 118, while the one-slot buffer keeps refilling. Each
+  // of the pairs deposited at 21, 31, ..., 111 outlives the 5-unit cutoff
+  // before the trial ends, though nothing reads the buffer after 111.
+  Circuit qc(2);
+  qc.cx(0, 1);
+  for (int i = 0; i < 1060; ++i) qc.h(0);
+  ArchConfig config = paper_config();
+  config.p_succ = 1.0;
+  config.comm_per_node = 1;
+  config.buffer_per_node = 1;
+  config.buffer_cutoff = 5.0;
+  const RunResult r = run_once(qc, {0, 1}, config, DesignKind::SyncBuf);
+  EXPECT_NEAR(r.depth, 118.0, 1e-9);
+  EXPECT_EQ(r.epr_consumed, 1u);
+  EXPECT_EQ(r.epr_expired, 10u);
+}
+
 TEST(Engine, BufferBelowPairQuotaIsRejected) {
   // State teleportation consumes two pairs per remote gate and a gate is
   // served only on a full quota, so a one-pair buffer would stall the
