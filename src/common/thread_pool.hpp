@@ -3,10 +3,10 @@
 /// runs across cores.
 ///
 /// Deliberately simple (one locked FIFO, no work stealing): experiment tasks
-/// are coarse — one full ExecutionEngine run each — so queue contention is
-/// negligible next to task cost. Determinism is the caller's job: tasks must
-/// write to disjoint, pre-sized slots so the completion order never affects
-/// the result (see runtime::run_design).
+/// are coarse — one full engine trial each (RunContext::execute) — so queue
+/// contention is negligible next to task cost. Determinism is the caller's
+/// job: tasks must write to disjoint, pre-sized slots so the completion
+/// order never affects the result (see runtime::run_design).
 
 #pragma once
 
